@@ -184,6 +184,25 @@ class TestSearch:
         assert code == 1
         assert "falsified=true" in out
 
+    def test_zero_regime_conjecture_falsified(self, capsys):
+        # The minimizer {0,1,2,4,6} ties the conjectured zero-regime bound
+        # without being an arithmetic progression, so search reports a
+        # falsification while verify on the same set finds no inverse
+        # theorem and passes.  Which of the two is right is an open
+        # question; both behaviours are pinned as they stand.
+        code, out, _ = run(capsys, "search", "--k", "5", "--h", "4", "--max", "12",
+                           "--regime", "zero", "--workers", "1", "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and doc["falsified"] is True
+        assert doc["min"] == doc["bound"] == 21
+        assert doc["classes"] == {"ArithmeticProgression": 3, "Other": 2}
+        assert [0, 1, 2, 4, 6] in doc["minimizers"]
+
+        code, out, _ = run(capsys, "verify", "--set", "0,1,2,4,6", "--h", "4")
+        assert code == 0
+        assert any(line.startswith("inverse=unsupported") for line in lines_of(out))
+        assert "result=ok" in lines_of(out)
+
 
 class TestWitness:
     def test_odd_subsums_reference(self, capsys):

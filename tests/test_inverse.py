@@ -141,6 +141,65 @@ class TestUnsupportedRegimes:
             verdict(elements, h)
 
 
+class TestRegimeTable:
+    """One set per inverse branch, pinning everything the verdict reports."""
+
+    @pytest.mark.parametrize(
+        "elements,h,regime,bound,predicted,classification",
+        [
+            ((1, 3, 5, 7), 3, "direct", 16,
+             "dilated odd progression d*{1,3,...,2k-1}", "DilatedOddProgression(d=1)"),
+            ((1, 3, 9), 3, "full-fold-odd", 8,
+             "any odd positive 3-element set", "Other"),
+            ((1, 3, 5, 9), 4, "full-fold-odd", 15,
+             "{a1,a2,a3,a1+a2+a3} or {a1,a2,a3,a3+a2-a1}",
+             "SumClosure4(a1=1,a2=3,a3=5)"),
+            ((1, 3, 5, 7, 9), 5, "full-fold-odd", 24,
+             "dilated odd progression d*{1,3,...,2h-1}", "DilatedOddProgression(d=1)"),
+            ((1, 2, 3), 3, "full-fold-positive", 7,
+             "{a1,a2,a1+a2}", "ArithmeticProgression(first=1,diff=1)"),
+            ((2, 4, 6, 8), 4, "full-fold-positive", 11,
+             "dilated interval d*[1,h]", "ArithmeticProgression(first=2,diff=2)"),
+            ((0, 1, 2, 3), 4, "full-fold-zero", 7,
+             "{0,a1,a2,a1+a2}", "ArithmeticProgression(first=0,diff=1)"),
+            ((0, 2, 4, 6, 8), 5, "full-fold-zero", 11,
+             "dilated interval d*[0,h-1]", "ArithmeticProgression(first=0,diff=2)"),
+        ],
+    )
+    def test_supported(self, elements, h, regime, bound, predicted, classification):
+        v = verdict(elements, h)
+        assert (v.regime, v.bound, v.predicted) == (regime, bound, predicted)
+        assert str(v.classification) == classification
+        assert v.verdict == EQUALITY_PREDICTED and v.prediction_holds
+
+    @pytest.mark.parametrize(
+        "elements,h",
+        [
+            ((1, 3, 7, 13), 4),     # full-fold-odd, h = 4
+            ((1, 3, 5, 7, 11), 5),  # full-fold-odd, h >= 5
+            ((1, 2, 4), 3),         # full-fold-positive, h = 3
+            ((1, 2, 3, 5), 4),      # full-fold-positive, h >= 4
+            ((0, 1, 2, 4), 4),      # full-fold-zero, h = 4
+            ((0, 1, 2, 3, 5), 5),   # full-fold-zero, h >= 5
+            ((1, 2, 3, 4), 3),      # direct
+        ],
+    )
+    def test_prediction_rejects_off_structure_sets(self, elements, h):
+        assert not verdict(elements, h).prediction_holds
+
+    @pytest.mark.parametrize(
+        "elements,h,message",
+        [
+            ((1, 3, 5, 7), 2, "no inverse theorem covers |A|=4, h=2, min=1"),
+            ((0, 1, 2, 3), 3, "no inverse theorem covers |A|=4, h=3, min=0"),
+        ],
+    )
+    def test_unsupported(self, elements, h, message):
+        with pytest.raises(RegimeUnsupported) as exc:
+            verdict(elements, h)
+        assert str(exc.value) == message
+
+
 class TestDefensiveVerdicts:
     """The two remaining verdicts cannot arise from honest inputs at desk
     scale (that is the theorem); exercise them by stubbing the engine."""
