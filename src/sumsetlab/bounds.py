@@ -3,33 +3,55 @@
 Each catalogue entry pairs a closed-form lower bound on a sumset cardinality
 with a strict hypothesis predicate: the bound is claimed exactly when the
 predicate holds, never by silent extension.  Entries tagged conjecture are
-reported but excluded from hard verification gates.
+reported but excluded from hard verification gates.  An entry backed by an
+inverse theorem also names its regime and the structure equality forces;
+the inverse verdicts and the search read both from here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .engine import SumsetVariant
 from .errors import BadParams, VariantMismatch
-from .intset import IntegerSet, SumsetResult
+from .intset import (
+    ArithmeticProgression,
+    DiffClosure4,
+    DilatedOddProgression,
+    IntegerSet,
+    Other,
+    SumClosure4,
+    SumsetResult,
+)
 
 
-def is_arithmetic_progression(elements: tuple[int, ...]) -> bool:
-    """True when the sorted elements form an AP with positive difference."""
-    if len(elements) < 2:
-        return True
-    d = elements[1] - elements[0]
-    return d > 0 and all(
-        elements[i] == elements[0] + i * d for i in range(len(elements))
-    )
+@dataclass(frozen=True)
+class Prediction:
+    """The structure equality at a bound forces, in words and as a predicate.
+
+    The forced sets are the members of `family` (a structure class of
+    intset, Other meaning any set) whose sorted elements satisfy `narrow`.
+    """
+
+    text: str
+    family: type = Other
+    narrow: Callable[[tuple[int, ...]], bool] = lambda elements: True
+
+    def holds(self, elements: tuple[int, ...]) -> bool:
+        return self.family.match(elements) is not None and self.narrow(elements)
 
 
 @dataclass(frozen=True)
 class BoundCatalogEntry:
-    """One direct bound: formula in (k, h) guarded by a hypothesis predicate."""
+    """One direct bound: formula in (k, h) guarded by a hypothesis predicate.
+
+    Entries with an inverse theorem name its `regime`; that theorem covers
+    the (A, h) pairs meeting both the hypotheses and `guard(k, h)`.
+    `equality` holds (h, prediction) rows, most specific first, with h None
+    for every other fold count.
+    """
 
     id: str
     variant: SumsetVariant
@@ -39,12 +61,19 @@ class BoundCatalogEntry:
     hypotheses_text: str
     source: str
     status: str  # "proved" | "conjecture"
+    regime: Optional[str] = None
+    guard: Callable[[int, int], bool] = lambda k, h: True
+    equality: tuple[tuple[Optional[int], Prediction], ...] = ()
 
     def applies(self, A: IntegerSet, h: int) -> bool:
         return self.hypotheses(A, h)
 
     def value(self, k: int, h: int) -> int:
         return self.formula(k, h)
+
+    def prediction(self, h: int) -> Prediction:
+        """The structure equality at fold count h forces."""
+        return next(p for at, p in self.equality if at is None or at == h)
 
 
 @dataclass(frozen=True)
@@ -105,6 +134,14 @@ def _without_second(A: IntegerSet) -> tuple[int, ...]:
     return A.elements[:1] + A.elements[2:]
 
 
+def _is_ap(elements: tuple[int, ...]) -> bool:
+    return ArithmeticProgression.match(elements) is not None
+
+
+def _from_zero(elements: tuple[int, ...]) -> bool:
+    return elements[0] == 0
+
+
 _ENTRIES: list[BoundCatalogEntry] = [
     BoundCatalogEntry(
         id="RSS_direct",
@@ -115,6 +152,10 @@ _ENTRIES: list[BoundCatalogEntry] = [
         hypotheses_text="A positive, 3 <= h <= k-1",
         source="restricted signed fold of any k positive integers; tight on dilated odd progressions",
         status="proved",
+        regime="direct",
+        equality=(
+            (None, Prediction("dilated odd progression d*{1,3,...,2k-1}", DilatedOddProgression)),
+        ),
     ),
     BoundCatalogEntry(
         id="RSS_base",
@@ -135,6 +176,20 @@ _ENTRIES: list[BoundCatalogEntry] = [
         hypotheses_text="A positive, 1 <= h <= k",
         source="weaker all-fold bound for positive sets; tight on dilated intervals",
         status="proved",
+        regime="full-fold-positive",
+        guard=lambda k, h: h == k >= 3,
+        equality=(
+            # {a1,a2,a1+a2} is the difference closure {0,a1,a2,a1+a2} without its 0.
+            (3, Prediction(
+                "{a1,a2,a1+a2}",
+                narrow=lambda e: DiffClosure4.match((0,) + e) is not None,
+            )),
+            # d*[1,h] is an arithmetic progression whose first element equals
+            # its difference.
+            (None, Prediction(
+                "dilated interval d*[1,h]", ArithmeticProgression, lambda e: e[0] == e[1] - e[0]
+            )),
+        ),
     ),
     BoundCatalogEntry(
         id="RSS_weak_zero",
@@ -145,6 +200,12 @@ _ENTRIES: list[BoundCatalogEntry] = [
         hypotheses_text="0 in A, A nonnegative, 1 <= h <= k",
         source="weaker all-fold bound for sets containing 0; tight on dilated 0-based intervals",
         status="proved",
+        regime="full-fold-zero",
+        guard=lambda k, h: h == k >= 4,
+        equality=(
+            (4, Prediction("{0,a1,a2,a1+a2}", DiffClosure4, _from_zero)),
+            (None, Prediction("dilated interval d*[0,h-1]", ArithmeticProgression, _from_zero)),
+        ),
     ),
     BoundCatalogEntry(
         id="RSS_conj2",
@@ -157,6 +218,13 @@ _ENTRIES: list[BoundCatalogEntry] = [
         hypotheses_text="0 in A, A nonnegative, k >= 5, 3 <= h <= k-1",
         source="conjectured sharp bound for sets containing 0",
         status="conjecture",
+        # No inverse regime: only the search tests this prediction, by class
+        # name.  d*[0,k-1] starts at 0, so it is no dilated odd progression
+        # and classifies as an arithmetic progression; in the zero regime
+        # every arithmetic progression is such a set.
+        equality=(
+            (None, Prediction("dilated interval d*[0,k-1]", ArithmeticProgression, _from_zero)),
+        ),
     ),
     BoundCatalogEntry(
         id="R_plain",
@@ -180,6 +248,19 @@ _ENTRIES: list[BoundCatalogEntry] = [
         hypotheses_text="A odd positive, k = h, h >= 3",
         source="full fold of an all-odd set; counts its distinct subset sums",
         status="proved",
+        regime="full-fold-odd",
+        equality=(
+            # Every odd positive triple attains 8 = h^2 - 1; no structure is forced.
+            (3, Prediction("any odd positive 3-element set")),
+            # Both closure forms count, whatever the set classifies as:
+            # {1,3,5,7} is a difference closure but a dilated odd progression first.
+            (4, Prediction(
+                "{a1,a2,a3,a1+a2+a3} or {a1,a2,a3,a3+a2-a1}",
+                narrow=lambda e: SumClosure4.match(e) is not None
+                or DiffClosure4.match(e) is not None,
+            )),
+            (None, Prediction("dilated odd progression d*{1,3,...,2h-1}", DilatedOddProgression)),
+        ),
     ),
     BoundCatalogEntry(
         id="MixedParity_case1",
@@ -222,7 +303,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 2 * h + 2,
         hypotheses=lambda A, h: _mixed_case3_base(A, h)
-        and not is_arithmetic_progression(_without_second(A)),
+        and not _is_ap(_without_second(A)),
         formula_text="h^2 + 2*h + 2",
         hypotheses_text="k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is not an AP",
         status="proved",
@@ -233,7 +314,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * (3 * h - 1) // 2 + 4,
         hypotheses=lambda A, h: _mixed_case3_base(A, h)
-        and is_arithmetic_progression(_without_second(A))
+        and _is_ap(_without_second(A))
         and A.elements[1] % 2 == 1,
         formula_text="h*(3*h - 1)/2 + 4",
         hypotheses_text="k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element odd",
@@ -246,7 +327,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         formula=lambda k, h: 26,
         hypotheses=lambda A, h: _mixed_case3_base(A, h)
         and h == 4
-        and is_arithmetic_progression(_without_second(A))
+        and _is_ap(_without_second(A))
         and A.elements[1] % 2 == 0,
         formula_text="26",
         hypotheses_text="k = 5, h = 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element even",
@@ -259,7 +340,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         formula=lambda k, h: 2 * h * (h - 1),
         hypotheses=lambda A, h: _mixed_case3_base(A, h)
         and h >= 5
-        and is_arithmetic_progression(_without_second(A))
+        and _is_ap(_without_second(A))
         and A.elements[1] % 2 == 0,
         formula_text="2*h*(h - 1)",
         hypotheses_text="k = h+1, h >= 5, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element even",
@@ -330,43 +411,42 @@ def odd_progression(d: int, k: int) -> IntegerSet:
     """d*{1, 3, ..., 2k-1}: attains the direct bound for every 3 <= h <= k-1."""
     if d < 1 or k < 1:
         raise BadParams("odd_progression needs d >= 1 and k >= 1")
-    return IntegerSet(tuple(d * (2 * i + 1) for i in range(k)))
+    return DilatedOddProgression(d).reconstruct(k)
 
 
 def interval(d: int, k: int, from_zero: bool = False) -> IntegerSet:
     """d*[1, k] (or d*[0, k-1]): attains the weak all-fold bounds."""
     if d < 1 or k < 1:
         raise BadParams("interval needs d >= 1 and k >= 1")
-    start = 0 if from_zero else 1
-    return IntegerSet(tuple(d * (start + i) for i in range(k)))
+    return ArithmeticProgression(0 if from_zero else d, d).reconstruct(k)
 
 
 def sum_closure4(a1: int, a2: int, a3: int) -> IntegerSet:
     """{a1, a2, a3, a1+a2+a3}: 4-element full-fold minimizer."""
     if not 0 < a1 < a2 < a3:
         raise BadParams("sum_closure4 needs 0 < a1 < a2 < a3")
-    return IntegerSet((a1, a2, a3, a1 + a2 + a3))
+    return SumClosure4(a1, a2, a3).reconstruct()
 
 
 def diff_closure4(a1: int, a2: int, a3: int) -> IntegerSet:
     """{a1, a2, a3, a3+a2-a1}: 4-element full-fold minimizer."""
     if not 0 < a1 < a2 < a3:
         raise BadParams("diff_closure4 needs 0 < a1 < a2 < a3")
-    return IntegerSet((a1, a2, a3, a3 + a2 - a1))
+    return DiffClosure4(a1, a2, a3).reconstruct()
 
 
 def pair_closure3(a1: int, a2: int) -> IntegerSet:
     """{a1, a2, a1+a2}: 3-element full-fold minimizer."""
     if not 0 < a1 < a2:
         raise BadParams("pair_closure3 needs 0 < a1 < a2")
-    return IntegerSet((a1, a2, a1 + a2))
+    return zero_pair_closure4(a1, a2).remove(0)
 
 
 def zero_pair_closure4(a1: int, a2: int) -> IntegerSet:
     """{0, a1, a2, a1+a2}: 4-element full-fold minimizer containing 0."""
     if not 0 < a1 < a2:
         raise BadParams("zero_pair_closure4 needs 0 < a1 < a2")
-    return IntegerSet((0, a1, a2, a1 + a2))
+    return DiffClosure4(0, a1, a2).reconstruct()
 
 
 _EXTREMAL_KINDS: dict[str, Callable[..., IntegerSet]] = {

@@ -14,11 +14,11 @@ import sys
 from typing import Optional
 
 from .bounds import bound_catalogue, catalogue_to_json, check_bounds
-from .engine import SumsetVariant, compute_dp, worker_count
+from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, RegimeUnsupported, SumsetLabError
 from .intset import IntegerSet, subsums
 from .inverse import BOUND_VIOLATED, EQUALITY_UNEXPECTED, inverse_verdict
-from .search import SearchSpace, minimize
+from .search import SearchSpace, minimize, worker_count
 from .witness import ALL_LEMMAS, LEMMA_ODD_SUBSUMS, generate, ordering_guards_hold
 
 EXIT_OK = 0
@@ -158,11 +158,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     _check_format(args.format, ("text", "json", "csv"))
-    if not args.allow_any_fold and not 3 <= args.h <= args.k - 1:
-        raise BadParams(
-            f"stated hypotheses need 3 <= h <= k-1 = {args.k - 1}, got "
-            f"h = {args.h}; pass --allow-any-fold to search outside them"
-        )
     space = SearchSpace(
         k=args.k,
         h=args.h,

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import BadParams, CostCapExceeded, FoldTooLarge, ZeroElement
 from .intset import IntegerSet, SumsetResult
@@ -47,15 +44,6 @@ class SumsetVariant(enum.Enum):
             if variant.value == name:
                 return variant
         raise BadParams(f"unknown variant {name!r}")
-
-
-@dataclass(frozen=True)
-class SumsetRequest:
-    """One unit of work for compute_batch."""
-
-    set: IntegerSet
-    variant: SumsetVariant
-    fold: int
 
 
 def _check_fold(A: IntegerSet, variant: SumsetVariant, h: int) -> None:
@@ -211,30 +199,3 @@ def independence_number(A: IntegerSet, t_max: int) -> Optional[int]:
             return h - 1
     return None
 
-
-def worker_count() -> int:
-    """Worker pool size: SUMSETLAB_THREADS overrides detected CPU count."""
-    env = os.environ.get("SUMSETLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise BadParams(f"SUMSETLAB_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise BadParams(f"SUMSETLAB_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def compute_batch(
-    requests: Sequence[SumsetRequest], workers: Optional[int] = None
-) -> list[SumsetResult]:
-    """Evaluate requests concurrently; results come back in request order."""
-    if workers is None:
-        workers = worker_count()
-    if workers < 1:
-        raise BadParams(f"workers must be >= 1, got {workers}")
-    if len(requests) <= 1 or workers == 1:
-        return [compute_dp(r.set, r.variant, r.fold) for r in requests]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: compute_dp(r.set, r.variant, r.fold), requests))

@@ -8,7 +8,7 @@ magnitude range are enforced in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     BadParams,
@@ -157,18 +157,6 @@ def abs_set(A: IntegerSet) -> IntegerSet:
     return canonicalize(abs(a) for a in A.elements)
 
 
-def second_smallest(A: IntegerSet) -> int:
-    if len(A) < 2:
-        raise TooSmall("need at least 2 elements")
-    return A.elements[1]
-
-
-def second_largest(A: IntegerSet) -> int:
-    if len(A) < 2:
-        raise TooSmall("need at least 2 elements")
-    return A.elements[-2]
-
-
 def subsums(A: IntegerSet) -> SumsetResult:
     """All subset sums of A, including 0 for the empty subset."""
     if len(A) > SUBSUMS_SIZE_CAP:
@@ -190,6 +178,13 @@ class DilatedOddProgression:
 
     d: int
 
+    @classmethod
+    def match(cls, elements: tuple[int, ...]) -> Optional["DilatedOddProgression"]:
+        d = elements[0]
+        if d >= 1 and all(a == d * (2 * i + 1) for i, a in enumerate(elements)):
+            return cls(d)
+        return None
+
     def reconstruct(self, k: int) -> IntegerSet:
         return IntegerSet(tuple(self.d * (2 * i + 1) for i in range(k)))
 
@@ -203,6 +198,13 @@ class ArithmeticProgression:
 
     first: int
     diff: int
+
+    @classmethod
+    def match(cls, elements: tuple[int, ...]) -> Optional["ArithmeticProgression"]:
+        first, diff = elements[0], elements[1] - elements[0]
+        if diff > 0 and all(a == first + i * diff for i, a in enumerate(elements)):
+            return cls(first, diff)
+        return None
 
     def reconstruct(self, k: int) -> IntegerSet:
         return IntegerSet(tuple(self.first + i * self.diff for i in range(k)))
@@ -219,6 +221,12 @@ class SumClosure4:
     a2: int
     a3: int
 
+    @classmethod
+    def match(cls, elements: tuple[int, ...]) -> Optional["SumClosure4"]:
+        if len(elements) == 4 and elements[3] == sum(elements[:3]):
+            return cls(*elements[:3])
+        return None
+
     def reconstruct(self, k: int = 4) -> IntegerSet:
         return IntegerSet((self.a1, self.a2, self.a3, self.a1 + self.a2 + self.a3))
 
@@ -234,6 +242,12 @@ class DiffClosure4:
     a2: int
     a3: int
 
+    @classmethod
+    def match(cls, elements: tuple[int, ...]) -> Optional["DiffClosure4"]:
+        if len(elements) == 4 and elements[3] == elements[2] + elements[1] - elements[0]:
+            return cls(*elements[:3])
+        return None
+
     def reconstruct(self, k: int = 4) -> IntegerSet:
         return IntegerSet((self.a1, self.a2, self.a3, self.a3 + self.a2 - self.a1))
 
@@ -242,22 +256,12 @@ class DiffClosure4:
 
 
 @dataclass(frozen=True)
-class DilatedInterval:
-    """d*{start, start+1, ..., start+k-1} for a positive integer d."""
-
-    d: int
-    start: int
-
-    def reconstruct(self, k: int) -> IntegerSet:
-        return IntegerSet(tuple(self.d * (self.start + i) for i in range(k)))
-
-    def __str__(self) -> str:
-        return f"DilatedInterval(d={self.d},start={self.start})"
-
-
-@dataclass(frozen=True)
 class Other:
-    """No recognized structure."""
+    """No recognized structure; matches every set."""
+
+    @classmethod
+    def match(cls, elements: tuple[int, ...]) -> "Other":
+        return cls()
 
     def __str__(self) -> str:
         return "Other"
@@ -268,9 +272,11 @@ StructureClass = Union[
     ArithmeticProgression,
     SumClosure4,
     DiffClosure4,
-    DilatedInterval,
     Other,
 ]
+
+# Classification priority: the first family that matches wins.
+_FAMILIES = (DilatedOddProgression, ArithmeticProgression, SumClosure4, DiffClosure4, Other)
 
 
 def class_name(cls: StructureClass) -> str:
@@ -282,31 +288,13 @@ def classify_structure(A: IntegerSet) -> StructureClass:
 
     Checks run in a fixed priority order and the first match wins:
     DilatedOddProgression, ArithmeticProgression, SumClosure4, DiffClosure4,
-    DilatedInterval, Other.  Every arithmetic progression with positive
-    difference already covers the dilated-interval form, so DilatedInterval
-    never wins under this order; it stays in the chain so the priority
-    contract is explicit.
+    Other.  So a dilated interval d*[s, s+k-1] classifies as an arithmetic
+    progression, and {1,3,5,7} as a dilated odd progression although it is
+    also a difference closure.
     """
     if len(A) < 2:
         raise TooSmall("classification needs at least 2 elements")
-    e = A.elements
-    k = len(e)
-
-    d = e[0]
-    if d >= 1 and all(e[i] == d * (2 * i + 1) for i in range(k)):
-        return DilatedOddProgression(d)
-
-    diff = e[1] - e[0]
-    if diff > 0 and all(e[i] == e[0] + i * diff for i in range(k)):
-        return ArithmeticProgression(e[0], diff)
-
-    if k == 4 and e[3] == e[0] + e[1] + e[2]:
-        return SumClosure4(e[0], e[1], e[2])
-
-    if k == 4 and e[3] == e[2] + e[1] - e[0]:
-        return DiffClosure4(e[0], e[1], e[2])
-
-    if diff > 0 and e[0] % diff == 0 and all(e[i] == e[0] + i * diff for i in range(k)):
-        return DilatedInterval(diff, e[0] // diff)
-
-    return Other()
+    for family in _FAMILIES:
+        found = family.match(A.elements)
+        if found is not None:
+            return found

@@ -2,8 +2,8 @@
 
 For each supported regime the tight lower bound comes with a structure that
 equality is proven (or, for the always-tight odd triple case, known) to
-force.  inverse_verdict computes the sumset, compares against the bound and
-reports one of:
+force; both live on the bound's catalogue entry.  inverse_verdict computes
+the sumset, compares against the bound and reports one of:
 
   EqualityAndPredictedStructure  bound attained, structure as predicted
   EqualityButUnexpectedStructure bound attained by an unpredicted set: a
@@ -17,14 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import BoundCatalogEntry, bound_catalogue
 from .engine import SumsetVariant, compute_dp
 from .errors import RegimeUnsupported
-from .intset import (
-    DilatedOddProgression,
-    IntegerSet,
-    StructureClass,
-    classify_structure,
-)
+from .intset import IntegerSet, StructureClass, classify_structure
 
 EQUALITY_PREDICTED = "EqualityAndPredictedStructure"
 EQUALITY_UNEXPECTED = "EqualityButUnexpectedStructure"
@@ -58,100 +54,37 @@ class InverseVerdict:
         }
 
 
-def _is_dilated_interval_from(A: IntegerSet, start: int) -> bool:
-    """A == d*{start, start+1, ...} for some d >= 1."""
-    e = A.elements
-    if start == 0:
-        if e[0] != 0:
-            return False
-        d = e[1] if len(e) > 1 else 1
-    else:
-        if e[0] % start:
-            return False
-        d = e[0] // start
-    return d >= 1 and all(e[i] == d * (start + i) for i in range(len(e)))
+def _resolve_regime(A: IntegerSet, h: int) -> BoundCatalogEntry:
+    """The catalogue entry whose inverse theorem covers (A, h).
 
-
-def _resolve_regime(A: IntegerSet, h: int):
-    """Returns (regime name, bound, predicted text, prediction predicate)."""
+    Candidates are the proved entries with a regime whose hypotheses and
+    guard hold.  Where two hold (odd positive sets at h = k), equality is
+    possible only at the larger bound, so the sharpest one is taken.
+    """
     k = len(A)
-    e = A.elements
-
-    if A.min >= 1:
-        if 3 <= h <= k - 1:
-            return (
-                "direct",
-                2 * h * k - h * h + 1,
-                "dilated odd progression d*{1,3,...,2k-1}",
-                lambda: isinstance(classify_structure(A), DilatedOddProgression),
-            )
-        if h == k and h >= 3:
-            if A.all_odd():
-                if h == 3:
-                    # Every odd positive triple attains 8 = h^2 - 1; no
-                    # structure is forced, so the prediction is vacuous.
-                    return (
-                        "full-fold-odd",
-                        h * h - 1,
-                        "any odd positive 3-element set",
-                        lambda: True,
-                    )
-                if h == 4:
-                    # Test the closure equations directly: a set like
-                    # {1,3,5,7} satisfies the difference form yet classifies
-                    # as a dilated odd progression by priority.
-                    return (
-                        "full-fold-odd",
-                        h * h - 1,
-                        "{a1,a2,a3,a1+a2+a3} or {a1,a2,a3,a3+a2-a1}",
-                        lambda: e[3] == e[0] + e[1] + e[2]
-                        or e[3] == e[2] + e[1] - e[0],
-                    )
-                return (
-                    "full-fold-odd",
-                    h * h - 1,
-                    "dilated odd progression d*{1,3,...,2h-1}",
-                    lambda: isinstance(classify_structure(A), DilatedOddProgression),
-                )
-            if h == 3:
-                return (
-                    "full-fold-positive",
-                    h * (h + 1) // 2 + 1,
-                    "{a1,a2,a1+a2}",
-                    lambda: e[2] == e[0] + e[1],
-                )
-            return (
-                "full-fold-positive",
-                h * (h + 1) // 2 + 1,
-                "dilated interval d*[1,h]",
-                lambda: _is_dilated_interval_from(A, 1),
-            )
-    elif A.min == 0:
-        if h == k and h >= 4:
-            if h == 4:
-                return (
-                    "full-fold-zero",
-                    h * (h - 1) // 2 + 1,
-                    "{0,a1,a2,a1+a2}",
-                    lambda: e[0] == 0 and e[3] == e[1] + e[2],
-                )
-            return (
-                "full-fold-zero",
-                h * (h - 1) // 2 + 1,
-                "dilated interval d*[0,h-1]",
-                lambda: _is_dilated_interval_from(A, 0),
-            )
-    raise RegimeUnsupported(
-        f"no inverse theorem covers |A|={k}, h={h}, min={A.min}"
-    )
+    covering = [
+        entry
+        for entry in bound_catalogue()
+        if entry.regime is not None
+        and entry.status == "proved"
+        and entry.guard(k, h)
+        and entry.applies(A, h)
+    ]
+    if not covering:
+        raise RegimeUnsupported(
+            f"no inverse theorem covers |A|={k}, h={h}, min={A.min}"
+        )
+    return max(covering, key=lambda entry: entry.value(k, h))
 
 
 def inverse_verdict(A: IntegerSet, h: int) -> InverseVerdict:
     """Check A against the tight bound and predicted structure for its regime."""
-    regime, bound, predicted, prediction = _resolve_regime(A, h)
+    entry = _resolve_regime(A, h)
+    bound = entry.value(len(A), h)
+    prediction = entry.prediction(h)
     observed = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
     classification = classify_structure(A)
-    holds = bool(prediction())
+    holds = prediction.holds(A.elements)
     if observed < bound:
         verdict = BOUND_VIOLATED
     elif observed > bound:
@@ -162,12 +95,12 @@ def inverse_verdict(A: IntegerSet, h: int) -> InverseVerdict:
         verdict = EQUALITY_UNEXPECTED
     return InverseVerdict(
         verdict=verdict,
-        regime=regime,
+        regime=entry.regime,
         k=len(A),
         h=h,
         bound=bound,
         observed=observed,
-        predicted=predicted,
+        predicted=prediction.text,
         classification=classification,
         prediction_holds=holds,
     )

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
+from .bounds import BoundCatalogEntry, bound_catalogue
 from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, SpaceTooLarge
 from .intset import MAX_ELEMENT, IntegerSet, class_name, classify_structure
@@ -35,6 +37,20 @@ OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 
 SPACE_CAP = 10**9
 MINIMIZER_CAP = 64
+
+
+def worker_count() -> int:
+    """Worker pool size: SUMSETLAB_THREADS overrides detected CPU count."""
+    env = os.environ.get("SUMSETLAB_THREADS")
+    if env is not None:
+        try:
+            n = int(env)
+        except ValueError:
+            raise BadParams(f"SUMSETLAB_THREADS must be an integer, got {env!r}")
+        if n < 1:
+            raise BadParams(f"SUMSETLAB_THREADS must be >= 1, got {n}")
+        return n
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,8 @@ class SearchSpace:
             raise BadParams(f"need 1 <= h <= k = {self.k}, got h = {self.h}")
         if not self.allow_any_fold and not 3 <= self.h <= self.k - 1:
             raise BadParams(
-                f"stated hypotheses need 3 <= h <= k-1 = {self.k - 1}, got h = "
-                f"{self.h}; pass allow_any_fold to search outside them"
+                f"stated hypotheses need 3 <= h <= k-1 = {self.k - 1}, got "
+                f"h = {self.h}; pass --allow-any-fold to search outside them"
             )
         if self.total_sets > SPACE_CAP:
             raise SpaceTooLarge(
@@ -81,31 +97,33 @@ class SearchSpace:
         return math.comb(self.max_element, self.choose_k)
 
     @property
+    def entry(self) -> BoundCatalogEntry:
+        """The catalogue bound the space's minimum is compared against.
+
+        Looked up on each access, never stored: the space is pickled into
+        pool workers, and catalogue entries hold lambdas.
+        """
+        entry_id = "RSS_conj2" if self.regime == REGIME_ZERO else "RSS_direct"
+        return next(entry for entry in bound_catalogue() if entry.id == entry_id)
+
+    @property
     def hypotheses_hold(self) -> bool:
-        if not 3 <= self.h <= self.k - 1:
-            return False
-        if self.regime == REGIME_ZERO and self.k < 5:
-            return False
-        return True
+        # Both entries' hypotheses read only |A| and the sign of min A, so
+        # the first colex member stands for the whole space.
+        first = IntegerSet(self.materialize(tuple(range(self.choose_k))))
+        return self.entry.applies(first, self.h)
 
     @property
     def bound(self) -> int:
-        if self.regime == REGIME_ZERO:
-            return 2 * self.h * self.k - self.h * (self.h + 1) + 1
-        return 2 * self.h * self.k - self.h * self.h + 1
+        return self.entry.value(self.k, self.h)
 
     @property
     def bound_status(self) -> str:
-        return "conjecture" if self.regime == REGIME_ZERO else "theorem"
+        return "theorem" if self.entry.status == "proved" else self.entry.status
 
     @property
     def predicted_class(self) -> str:
-        # Zero-regime predicted minimizers d*{0,1,...,k-1} sort with 0 first,
-        # so they classify as arithmetic progressions starting at 0; no other
-        # progression fits in the zero regime.
-        if self.regime == REGIME_ZERO:
-            return "ArithmeticProgression"
-        return "DilatedOddProgression"
+        return self.entry.prediction(self.h).family.__name__
 
     @property
     def regime_label(self) -> str:
@@ -119,17 +137,6 @@ class SearchSpace:
         if self.regime == REGIME_ZERO:
             return (0,) + elems
         return elems
-
-
-def enumerate_space(space: SearchSpace) -> Iterator[IntegerSet]:
-    """Yield every set of the space in lexicographic element order.
-
-    The gcd filter is not applied here; this is the raw population.
-    """
-    import itertools
-
-    for combo in itertools.combinations(range(space.max_element), space.choose_k):
-        yield IntegerSet(space.materialize(combo))
 
 
 def _colex_unrank(rank: int, k: int) -> list[int]:

@@ -9,7 +9,6 @@ from sumsetlab.bounds import (
     diff_closure4,
     extremal_set,
     interval,
-    is_arithmetic_progression,
     odd_progression,
     pair_closure3,
     sum_closure4,
@@ -17,7 +16,7 @@ from sumsetlab.bounds import (
 )
 from sumsetlab.engine import SumsetVariant, compute_dp
 from sumsetlab.errors import BadParams, VariantMismatch
-from sumsetlab.intset import IntegerSet
+from sumsetlab.intset import ArithmeticProgression, IntegerSet
 
 RSS = SumsetVariant.RESTRICTED_SIGNED
 R = SumsetVariant.RESTRICTED
@@ -227,7 +226,8 @@ class TestExtremalConstructors:
 
 class TestApHelper:
     def test_is_arithmetic_progression(self):
-        assert is_arithmetic_progression((5,))
-        assert is_arithmetic_progression((3, 8))
-        assert is_arithmetic_progression((1, 4, 7, 10))
-        assert not is_arithmetic_progression((1, 4, 8))
+        # The MixedParity case-3 entries test "A minus its 2nd element is an
+        # AP" with the structure family's own predicate.
+        assert ArithmeticProgression.match((3, 8)) == ArithmeticProgression(3, 5)
+        assert ArithmeticProgression.match((1, 4, 7, 10)) == ArithmeticProgression(1, 3)
+        assert ArithmeticProgression.match((1, 4, 8)) is None

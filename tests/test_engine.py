@@ -6,14 +6,11 @@ import pytest
 from sumsetlab.engine import (
     MAX_FOLD,
     ORACLE_COST_CAP,
-    SumsetRequest,
     SumsetVariant,
-    compute_batch,
     compute_dp,
     compute_oracle,
     independence_number,
     oracle_cost,
-    worker_count,
 )
 from sumsetlab.errors import (
     BadParams,
@@ -165,30 +162,3 @@ class TestIndependenceNumber:
             assert 0 not in compute_dp(A, SumsetVariant.SIGNED, h)
         assert 0 in compute_dp(A, SumsetVariant.SIGNED, t + 1)
 
-
-class TestBatchAndWorkers:
-    def test_batch_preserves_order(self):
-        reqs = [
-            SumsetRequest(IntegerSet((1, 3, 5)), SumsetVariant.RESTRICTED_SIGNED, 2),
-            SumsetRequest(IntegerSet((1, 2)), SumsetVariant.PLAIN, 3),
-            SumsetRequest(IntegerSet((2, 7)), SumsetVariant.SIGNED, 2),
-        ]
-        got = compute_batch(reqs, workers=3)
-        want = [compute_dp(r.set, r.variant, r.fold) for r in reqs]
-        assert got == want
-
-    def test_batch_worker_validation(self):
-        with pytest.raises(BadParams):
-            compute_batch([], workers=0)
-
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("SUMSETLAB_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("SUMSETLAB_THREADS", "zero")
-        with pytest.raises(BadParams):
-            worker_count()
-        monkeypatch.setenv("SUMSETLAB_THREADS", "0")
-        with pytest.raises(BadParams):
-            worker_count()
-        monkeypatch.delenv("SUMSETLAB_THREADS")
-        assert worker_count() >= 1

@@ -12,7 +12,6 @@ from sumsetlab.intset import (
     MAX_ELEMENT,
     ArithmeticProgression,
     DiffClosure4,
-    DilatedInterval,
     DilatedOddProgression,
     IntegerSet,
     Other,
@@ -23,8 +22,6 @@ from sumsetlab.intset import (
     class_name,
     classify_structure,
     dilate,
-    second_largest,
-    second_smallest,
     subsums,
 )
 
@@ -117,14 +114,6 @@ class TestHelpers:
         assert abs_set(IntegerSet((-3, -1, 2))).elements == (1, 2, 3)
         assert abs_set(IntegerSet((-2, 2))).elements == (2,)
 
-    def test_second_extremes(self):
-        A = IntegerSet((1, 4, 9))
-        assert second_smallest(A) == 4 and second_largest(A) == 4
-        with pytest.raises(TooSmall):
-            second_smallest(IntegerSet((1,)))
-        with pytest.raises(TooSmall):
-            second_largest(IntegerSet((1,)))
-
     def test_subsums_exact(self):
         r = subsums(IntegerSet((1, 3, 5)))
         assert r.values == (0, 1, 3, 4, 5, 6, 8, 9)
@@ -161,6 +150,21 @@ class TestClassification:
         assert got == DiffClosure4(1, 3, 7)
         assert got.reconstruct().elements == (1, 3, 7, 9)
 
+    @pytest.mark.parametrize(
+        "member,k",
+        [
+            (DilatedOddProgression(3), 4),
+            (ArithmeticProgression(0, 2), 5),
+            (SumClosure4(1, 3, 5), 4),
+            (DiffClosure4(0, 1, 4), 4),
+        ],
+    )
+    def test_match_inverts_reconstruct(self, member, k):
+        family = type(member)
+        assert family.match(member.reconstruct(k).elements) == member
+        assert family.match((1, 2, 4, 8, 16)[:k]) is None
+        assert Other.match((1, 2, 4, 8, 16)[:k]) == Other()
+
     def test_other(self):
         assert classify_structure(IntegerSet((1, 2, 7, 11))) == Other()
 
@@ -169,7 +173,7 @@ class TestClassification:
         assert classify_structure(IntegerSet((1, 3, 5, 7))) == DilatedOddProgression(1)
 
     def test_priority_ap_over_dilated_interval(self):
-        # 2*{1,2,3,4} is an AP first; DilatedInterval never wins.
+        # The dilated interval 2*{1,2,3,4} classifies as an AP.
         assert classify_structure(IntegerSet((2, 4, 6, 8))) == ArithmeticProgression(2, 2)
 
     def test_pairs_classify_as_progressions(self):
@@ -183,5 +187,4 @@ class TestClassification:
     def test_class_name(self):
         assert class_name(DilatedOddProgression(2)) == "DilatedOddProgression"
         assert class_name(Other()) == "Other"
-        assert class_name(DilatedInterval(2, 1)) == "DilatedInterval"
         assert str(DilatedOddProgression(2)) == "DilatedOddProgression(d=2)"

@@ -6,21 +6,29 @@ import pytest
 
 from sumsetlab.engine import SumsetVariant, compute_dp
 from sumsetlab.errors import BadParams, SpaceTooLarge
+from sumsetlab.intset import IntegerSet
 from sumsetlab.search import (
     MINIMIZER_CAP,
     SearchSpace,
     _colex_advance,
     _colex_unrank,
-    enumerate_space,
     minimize,
     partition_work,
+    worker_count,
 )
+
+
+def lex_sets(space):
+    """Every set of the space in lexicographic element order, gcd filter
+    not applied: an enumeration independent of the search's colex one."""
+    for combo in itertools.combinations(range(space.max_element), space.choose_k):
+        yield IntegerSet(space.materialize(combo))
 
 
 def brute_minimum(space):
     """Independent route: lexicographic scan, no sharding machinery."""
     best = None
-    for A in enumerate_space(space):
+    for A in lex_sets(space):
         if (
             space.gcd_reduce
             and space.regime == "positive"
@@ -83,6 +91,20 @@ class TestColexOrder:
         )[5]
 
 
+class TestWorkerCount:
+    def test_worker_count_env_override(self, monkeypatch):
+        monkeypatch.setenv("SUMSETLAB_THREADS", "3")
+        assert worker_count() == 3
+        monkeypatch.setenv("SUMSETLAB_THREADS", "zero")
+        with pytest.raises(BadParams):
+            worker_count()
+        monkeypatch.setenv("SUMSETLAB_THREADS", "0")
+        with pytest.raises(BadParams):
+            worker_count()
+        monkeypatch.delenv("SUMSETLAB_THREADS")
+        assert worker_count() >= 1
+
+
 class TestSearchSpaceValidation:
     def test_unknown_regime(self):
         with pytest.raises(BadParams):
@@ -113,13 +135,13 @@ class TestSearchSpaceValidation:
         space = SearchSpace(5, 3, 9, regime="zero")
         assert space.choose_k == 4
         assert space.total_sets == math.comb(9, 4)
-        sets = list(enumerate_space(space))
+        sets = list(lex_sets(space))
         assert len(sets) == space.total_sets
         assert all(A.min == 0 and len(A) == 5 for A in sets)
 
     def test_positive_regime_population(self):
         space = SearchSpace(4, 3, 9)
-        sets = list(enumerate_space(space))
+        sets = list(lex_sets(space))
         assert len(sets) == math.comb(9, 4)
         assert all(A.min >= 1 and A.max <= 9 for A in sets)
 
