@@ -4,10 +4,11 @@ A SearchSpace fixes a set size k, a fold count h, a maximum element, and a
 regime ("positive": k-subsets of [1, max]; "zero": {0} plus a (k-1)-subset
 of [1, max]).  minimize() scans every set in the space, records the minimum
 restricted-signed h-fold cardinality, tallies the structure classes of all
-minimum-achieving sets, and compares against the regime's lower-bound
-formula.  A report is falsified only when the regime's stated hypotheses
-hold and either the minimum undercuts the bound or some minimizer falls
-outside the predicted structure class.
+minimum-achieving sets, and compares against the regime's catalogue bound
+(RSS_direct, or the conjectured RSS_conj2 in the zero regime).  A report is
+falsified only when the bound's hypotheses hold and either the minimum
+undercuts the bound or some minimizer falls outside the predicted
+structure class.
 
 Work is split into contiguous colexicographic rank ranges so any shard
 count (and any worker count) produces a byte-identical report: each shard
