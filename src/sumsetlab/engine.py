@@ -136,6 +136,22 @@ def _shift(bits: int, delta: int) -> int:
     return bits << delta if delta >= 0 else bits >> (-delta)
 
 
+def fold_restricted(dp: list[int], a: int, signed: bool, lo: int = 1) -> None:
+    """Fold one element into restricted layer tables, in place.
+
+    dp[j] gains dp[j-1] moved by a (and by -a when signed), for j from the
+    top layer down to lo, so each element is used at most once.  Layers
+    below lo are left as they were.
+    """
+    for j in range(len(dp) - 1, lo - 1, -1):
+        prev = dp[j - 1]
+        if prev:
+            add = _shift(prev, a)
+            if signed:
+                add |= _shift(prev, -a)
+            dp[j] |= add
+
+
 def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
     """Dynamic-programming route: layered bit tables indexed by used weight.
 
@@ -151,15 +167,9 @@ def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
     dp[0] = 1 << offset
 
     if variant in (SumsetVariant.RESTRICTED, SumsetVariant.RESTRICTED_SIGNED):
-        both = variant is SumsetVariant.RESTRICTED_SIGNED
+        signed = variant is SumsetVariant.RESTRICTED_SIGNED
         for a in e:
-            for j in range(h, 0, -1):
-                prev = dp[j - 1]
-                if prev:
-                    add = _shift(prev, a)
-                    if both:
-                        add |= _shift(prev, -a)
-                    dp[j] |= add
+            fold_restricted(dp, a, signed)
     elif variant is SumsetVariant.PLAIN:
         # Ascending weight lets one element repeat within its own pass.
         for a in e:

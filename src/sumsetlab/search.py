@@ -15,6 +15,18 @@ count (and any worker count) produces a byte-identical report: each shard
 returns its minimum, the exact count of minimum-achieving sets, the first
 64 of them in colex order, and a structure-class tally; shards merge in
 rank order.
+
+A shard counts each set's sumset without building it.  The restricted-signed
+fold does not depend on element order, so elements are folded in from the
+largest down, and the layer tables of every suffix of the current colex
+combination are kept.  A colex step changes only the positions up to the
+one _colex_advance returns, so only the tables below it are refolded; the
+common step, which moves just the smallest element, costs one top-layer
+fold and a bit count.  The gcd filter is cached per suffix the same way.
+Tables are offset by h * max A, as in compute_dp, so a right shift never
+drops a set bit; the offset changes only when the largest element moves,
+which refolds every table anyway.  An IntegerSet is built and classified
+only for a set that ties or undercuts the shard's running minimum.
 """
 
 from __future__ import annotations
@@ -28,8 +40,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import BoundCatalogEntry, bound_catalogue
-from .engine import SumsetVariant, compute_dp
-from .errors import BadParams, SpaceTooLarge
+from .engine import MAX_FOLD, fold_restricted
+from .errors import BadParams, FoldTooLarge, SpaceTooLarge
 from .intset import MAX_ELEMENT, IntegerSet, class_name, classify_structure
 
 REGIME_POSITIVE = "positive"
@@ -87,6 +99,8 @@ class SearchSpace:
             raise SpaceTooLarge(
                 f"space has {self.total_sets} sets, over the cap {SPACE_CAP}"
             )
+        if self.h > MAX_FOLD:
+            raise FoldTooLarge(f"fold count {self.h} exceeds supported cap {MAX_FOLD}")
 
     @property
     def choose_k(self) -> int:
@@ -161,15 +175,19 @@ def _colex_unrank(rank: int, k: int) -> list[int]:
     return combo
 
 
-def _colex_advance(combo: list[int]) -> None:
-    """Step to the successor combination in colexicographic order."""
-    k = len(combo)
-    for i in range(k):
-        if i == k - 1 or combo[i] + 1 < combo[i + 1]:
-            combo[i] += 1
-            for j in range(i):
-                combo[j] = j
-            return
+def _colex_advance(combo: list[int]) -> int:
+    """Step to the successor combination in colexicographic order.
+
+    Returns the highest position that changed; the positions below it are
+    reset to their minimum, and those above it keep their values.
+    """
+    i = 0
+    while i < len(combo) - 1 and combo[i] + 1 == combo[i + 1]:
+        i += 1
+    combo[i] += 1
+    for j in range(i):
+        combo[j] = j
+    return i
 
 
 def partition_work(total: int, shards: int) -> list[tuple[int, int]]:
@@ -202,31 +220,57 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
     space, start, count = args
     if count == 0:
         return _ShardResult(None, 0, (), {})
-    variant = SumsetVariant.RESTRICTED_SIGNED
+    h, n = space.h, space.choose_k
     skip_imprimitive = space.gcd_reduce and space.regime == REGIME_POSITIVE
-    combo = _colex_unrank(start, space.choose_k)
+    combo = _colex_unrank(start, n)
+    # layers[p]: rss layer tables of the pinned elements and combo[p:],
+    # folded largest first.  Only layers j >= h - p are exact: the p
+    # smaller elements still to come lift a sum by at most p layers.
+    # gcds[p]: gcd of the elements at positions p and up.  Free position
+    # v holds element v + 1.
+    layers: list[list[int]] = [[] for _ in range(n + 1)]
+    gcds = [0] * (n + 1)
+    top = n - 1  # highest position changed since the previous set
     best: Optional[int] = None
     n_best = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
     for idx in range(count):
-        elems = space.materialize(tuple(combo))
-        if not (skip_imprimitive and math.gcd(*elems) > 1):
-            A = IntegerSet(elems)
-            card = compute_dp(A, variant, space.h).cardinality
-            if best is None or card < best:
-                best = card
-                n_best = 1
-                minimizers = [elems]
-                classes = {class_name(classify_structure(A)): 1}
-            elif card == best:
-                n_best += 1
-                if len(minimizers) < MINIMIZER_CAP:
-                    minimizers.append(elems)
-                name = class_name(classify_structure(A))
-                classes[name] = classes.get(name, 0) + 1
+        if top == n - 1:
+            # Offset h * max A: no sum of at most h elements leaves the
+            # table, so a right shift never drops a set bit.
+            base = [0] * (h + 1)
+            base[0] = 1 << (h * (combo[-1] + 1))
+            for a in space.materialize(()):
+                fold_restricted(base, a, True)
+            layers[n] = base
+        for p in range(top, 0, -1):
+            a = combo[p] + 1
+            layer = layers[p + 1][:]
+            fold_restricted(layer, a, True, max(1, h - p))
+            layers[p] = layer
+            gcds[p] = math.gcd(a, gcds[p + 1])
+        a = combo[0] + 1
+        if not (skip_imprimitive and math.gcd(a, gcds[1]) > 1):
+            # fold_restricted's step for the smallest element, top layer only.
+            last = layers[1]
+            below = last[h - 1]
+            card = (last[h] | below << a | below >> a).bit_count()
+            if best is None or card <= best:
+                elems = space.materialize(tuple(combo))
+                name = class_name(classify_structure(IntegerSet(elems)))
+                if best is None or card < best:
+                    best = card
+                    n_best = 1
+                    minimizers = [elems]
+                    classes = {name: 1}
+                else:
+                    n_best += 1
+                    if len(minimizers) < MINIMIZER_CAP:
+                        minimizers.append(elems)
+                    classes[name] = classes.get(name, 0) + 1
         if idx + 1 < count:
-            _colex_advance(combo)
+            top = _colex_advance(combo)
     return _ShardResult(best, n_best, tuple(minimizers), classes)
 
 
@@ -296,6 +340,8 @@ def minimize(
     The report is a pure function of the space: shard and worker counts
     change only how the scan is split, never its outcome.
     """
+    if workers is not None and workers < 1:
+        raise BadParams(f"need at least 1 worker, got {workers}")
     t0 = time.perf_counter()
     tasks = [
         (space, start, count)

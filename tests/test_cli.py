@@ -171,6 +171,19 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--k", "4", "--h", "4", "--max", "9")
         assert code == 2 and "--allow-any-fold" in err
 
+    def test_fold_cap(self, capsys):
+        code, out, err = run(capsys, "search", "--k", "65", "--h", "65", "--max", "65",
+                             "--allow-any-fold", "--workers", "1")
+        assert code == 2 and out == ""
+        assert err == "error: fold count 65 exceeds supported cap 64\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_rejects_fewer_than_one_worker(self, capsys, workers):
+        code, out, err = run(capsys, "search", "--k", "4", "--h", "3", "--max", "9",
+                             "--workers", workers)
+        assert code == 2 and out == ""
+        assert err == f"error: need at least 1 worker, got {workers}\n"
+
     def test_falsified_report_exits_one(self, capsys, monkeypatch):
         # No honest desk-scale input falsifies the theorem; fake the report
         # to pin down the exit-code plumbing.

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from sumsetlab.engine import SumsetVariant, compute_dp
-from sumsetlab.errors import BadParams, SpaceTooLarge
-from sumsetlab.intset import IntegerSet
+from sumsetlab.errors import BadParams, FoldTooLarge, SpaceTooLarge
+from sumsetlab.intset import IntegerSet, class_name, classify_structure
 from sumsetlab.search import (
     MINIMIZER_CAP,
     SearchSpace,
@@ -25,9 +26,11 @@ def lex_sets(space):
         yield IntegerSet(space.materialize(combo))
 
 
-def brute_minimum(space):
-    """Independent route: lexicographic scan, no sharding machinery."""
-    best = None
+def brute_report(space):
+    """Independent route: a lexicographic scan over compute_dp with no
+    sharding machinery, ties sorted into colex order afterwards.  Returns
+    (minimum, minimizer_count, first minimizers, class tally)."""
+    cards = []
     for A in lex_sets(space):
         if (
             space.gcd_reduce
@@ -35,10 +38,15 @@ def brute_minimum(space):
             and math.gcd(*A.elements) > 1
         ):
             continue
-        card = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, space.h).cardinality
-        if best is None or card < best:
-            best = card
-    return best
+        result = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, space.h)
+        cards.append((A, result.cardinality))
+    minimum = min(card for _, card in cards)
+    tied = sorted(
+        (A.elements for A, card in cards if card == minimum),
+        key=lambda elems: elems[::-1],
+    )
+    classes = Counter(class_name(classify_structure(IntegerSet(e))) for e in tied)
+    return minimum, len(tied), tuple(tied[:MINIMIZER_CAP]), dict(classes)
 
 
 class TestPartitionWork:
@@ -79,8 +87,11 @@ class TestColexOrder:
     def test_advance_matches_unrank(self):
         combo = _colex_unrank(0, 4)
         for rank in range(math.comb(10, 4) - 1):
-            _colex_advance(combo)
+            before = combo[:]
+            top = _colex_advance(combo)
             assert combo == _colex_unrank(rank + 1, 4)
+            # The returned index is the highest position that changed.
+            assert max(i for i in range(4) if combo[i] != before[i]) == top
 
     def test_colex_is_rank_stable_across_max_element(self):
         # Colex rank of a combo does not depend on the universe size; this is
@@ -126,6 +137,8 @@ class TestSearchSpaceValidation:
         with pytest.raises(BadParams):
             SearchSpace(4, 2, 9)  # outside stated window...
         SearchSpace(4, 2, 9, allow_any_fold=True)  # ...unless opted in
+        with pytest.raises(FoldTooLarge):
+            SearchSpace(65, 65, 65, allow_any_fold=True)  # h over MAX_FOLD
 
     def test_space_cap(self):
         with pytest.raises(SpaceTooLarge):
@@ -169,12 +182,32 @@ class TestMinimize:
         assert report.falsified is False
 
     def test_matches_brute_force(self):
-        for space in (
-            SearchSpace(4, 3, 9),
-            SearchSpace(5, 3, 9, regime="zero"),
-            SearchSpace(4, 4, 9, allow_any_fold=True),
-        ):
-            assert minimize(space, shards=3).minimum == brute_minimum(space)
+        spaces = [
+            SearchSpace(k, h, max_element, regime, gcd_reduce, allow_any_fold=True)
+            for k, h, max_element, regime in (
+                (4, 3, 12, "positive"),
+                (4, 1, 9, "positive"),  # every set ties, so the cap binds
+                (4, 4, 9, "positive"),
+                (5, 3, 9, "zero"),
+                (4, 1, 8, "zero"),
+                (4, 4, 8, "zero"),
+                (2, 1, 7, "zero"),  # one free position
+                (2, 2, 7, "zero"),
+            )
+            for gcd_reduce in (True, False)
+        ]
+        for space in spaces:
+            expected = brute_report(space)
+            # Seven shards start partway through shared suffixes.
+            for shards in (1, 7):
+                report = minimize(space, shards=shards)
+                got = (
+                    report.minimum,
+                    report.minimizer_count,
+                    report.minimizers,
+                    report.classes,
+                )
+                assert got == expected, (space, shards)
 
     def test_gcd_filter_collapses_dilates(self):
         plain = minimize(SearchSpace(4, 3, 14, gcd_reduce=False))
@@ -207,6 +240,11 @@ class TestMinimize:
         report = minimize(SearchSpace(4, 4, 9, allow_any_fold=True))
         assert report.regime == "positive/outside-stated-hypotheses"
         assert report.falsified is False
+
+    def test_rejects_fewer_than_one_worker(self):
+        for workers in (0, -2):
+            with pytest.raises(BadParams):
+                minimize(SearchSpace(4, 3, 9), workers=workers)
 
     def test_minimizer_list_is_capped(self):
         report = minimize(SearchSpace(4, 3, 9))
