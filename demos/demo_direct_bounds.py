@@ -11,15 +11,15 @@ from sumsetlab import (
     bound_catalogue,
     check_bounds,
     compute_dp,
-    extremal_set,
 )
+from sumsetlab.intset import DilatedOddProgression
 
 print("catalogue:", ", ".join(entry.id for entry in bound_catalogue()))
 print()
 
 print("Odd progressions meet the main formula exactly:")
 for k in range(4, 8):
-    A = extremal_set("odd_progression", d=1, k=k)
+    A = DilatedOddProgression(d=1).reconstruct(k)
     for h in range(3, k):
         result = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
         [report] = [r for r in check_bounds(A, h, result) if r.id == "RSS_direct"]

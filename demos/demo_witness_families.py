@@ -27,7 +27,7 @@ for lemma, A, kwargs in CASES:
         print(f"  {part.name:<16} size {part.size:2d}{branch}: "
               + ",".join(str(v) for v in part.values))
     print(f"  exhibits {family.claimed_total} of the target's "
-          f"{family.target_values().cardinality} values")
+          f"{checks.target_cardinality} values")
     print(f"  disjoint={checks.disjoint} contained={checks.contained} "
           f"total_matches={checks.total_matches} ordering_guards={guards}")
     print()

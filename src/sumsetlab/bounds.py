@@ -1,11 +1,12 @@
-"""Direct lower-bound catalogue and extremal set constructors.
+"""Direct lower-bound catalogue.
 
 Each catalogue entry pairs a closed-form lower bound on a sumset cardinality
 with a strict hypothesis predicate: the bound is claimed exactly when the
 predicate holds, never by silent extension.  Entries tagged conjecture are
 reported but excluded from hard verification gates.  An entry backed by an
 inverse theorem also names its regime and the structure equality forces;
-the inverse verdicts and the search read both from here.
+the inverse verdicts and the search read both from here, and the witness
+generators read their lemmas' hypotheses from the same predicates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import SumsetVariant
-from .errors import BadParams, VariantMismatch
+from .errors import VariantMismatch
 from .intset import (
     ArithmeticProgression,
     DiffClosure4,
@@ -108,7 +109,12 @@ def _nonneg_with_zero(A: IntegerSet, h: int) -> bool:
     return A.min == 0
 
 
-def _mixed_case2_base(A: IntegerSet, h: int) -> bool:
+MIXED_CASE2_TEXT = "k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in parity from the 1st"
+MIXED_CASE3_TEXT = "k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st"
+
+
+def mixed_case2_base(A: IntegerSet, h: int) -> bool:
+    """MIXED_CASE2_TEXT: the union of the two MixedParity_case2 entries."""
     e = A.elements
     return (
         len(A) == h + 1
@@ -119,7 +125,8 @@ def _mixed_case2_base(A: IntegerSet, h: int) -> bool:
     )
 
 
-def _mixed_case3_base(A: IntegerSet, h: int) -> bool:
+def mixed_case3_base(A: IntegerSet, h: int) -> bool:
+    """MIXED_CASE3_TEXT: the union of the four MixedParity_case3 entries."""
     e = A.elements
     return (
         len(A) == h + 1
@@ -280,10 +287,10 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case2a",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 3 * h,
-        hypotheses=lambda A, h: _mixed_case2_base(A, h)
+        hypotheses=lambda A, h: mixed_case2_base(A, h)
         and A.elements[2] == 2 * A.elements[0] + A.elements[1],
         formula_text="h^2 + 3*h",
-        hypotheses_text="k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in parity from the 1st, a3 = 2*a1 + a2",
+        hypotheses_text=MIXED_CASE2_TEXT + ", a3 = 2*a1 + a2",
         status="proved",
         source="mixed parity with the third element tied to the first two",
     ),
@@ -291,10 +298,10 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case2b",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 4 * h - 1,
-        hypotheses=lambda A, h: _mixed_case2_base(A, h)
+        hypotheses=lambda A, h: mixed_case2_base(A, h)
         and A.elements[2] != 2 * A.elements[0] + A.elements[1],
         formula_text="h^2 + 4*h - 1",
-        hypotheses_text="k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in parity from the 1st, a3 != 2*a1 + a2",
+        hypotheses_text=MIXED_CASE2_TEXT + ", a3 != 2*a1 + a2",
         status="proved",
         source="mixed parity with the third element free of the first two",
     ),
@@ -302,10 +309,10 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_notAP",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 2 * h + 2,
-        hypotheses=lambda A, h: _mixed_case3_base(A, h)
+        hypotheses=lambda A, h: mixed_case3_base(A, h)
         and not _is_ap(_without_second(A)),
         formula_text="h^2 + 2*h + 2",
-        hypotheses_text="k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is not an AP",
+        hypotheses_text=MIXED_CASE3_TEXT + ", A minus its 2nd element is not an AP",
         status="proved",
         source="odd second element over a non-progression remainder",
     ),
@@ -313,11 +320,11 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_ap_odd",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * (3 * h - 1) // 2 + 4,
-        hypotheses=lambda A, h: _mixed_case3_base(A, h)
+        hypotheses=lambda A, h: mixed_case3_base(A, h)
         and _is_ap(_without_second(A))
         and A.elements[1] % 2 == 1,
         formula_text="h*(3*h - 1)/2 + 4",
-        hypotheses_text="k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element odd",
+        hypotheses_text=MIXED_CASE3_TEXT + ", A minus its 2nd element is an AP, 2nd element odd",
         status="proved",
         source="odd second element over an even progression remainder",
     ),
@@ -325,7 +332,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_ap_even_h4",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 26,
-        hypotheses=lambda A, h: _mixed_case3_base(A, h)
+        hypotheses=lambda A, h: mixed_case3_base(A, h)
         and h == 4
         and _is_ap(_without_second(A))
         and A.elements[1] % 2 == 0,
@@ -338,7 +345,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_ap_even",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 2 * h * (h - 1),
-        hypotheses=lambda A, h: _mixed_case3_base(A, h)
+        hypotheses=lambda A, h: mixed_case3_base(A, h)
         and h >= 5
         and _is_ap(_without_second(A))
         and A.elements[1] % 2 == 0,
@@ -353,6 +360,11 @@ _ENTRIES: list[BoundCatalogEntry] = [
 def bound_catalogue() -> list[BoundCatalogEntry]:
     """All registered bounds, in stable order."""
     return list(_ENTRIES)
+
+
+def catalogue_entry(entry_id: str) -> BoundCatalogEntry:
+    """The catalogue entry with this id."""
+    return next(entry for entry in _ENTRIES if entry.id == entry_id)
 
 
 def catalogue_to_json() -> str:
@@ -403,70 +415,3 @@ def check_bounds(
             )
     return reports
 
-
-# --- extremal constructors --------------------------------------------------
-
-
-def odd_progression(d: int, k: int) -> IntegerSet:
-    """d*{1, 3, ..., 2k-1}: attains the direct bound for every 3 <= h <= k-1."""
-    if d < 1 or k < 1:
-        raise BadParams("odd_progression needs d >= 1 and k >= 1")
-    return DilatedOddProgression(d).reconstruct(k)
-
-
-def interval(d: int, k: int, from_zero: bool = False) -> IntegerSet:
-    """d*[1, k] (or d*[0, k-1]): attains the weak all-fold bounds."""
-    if d < 1 or k < 1:
-        raise BadParams("interval needs d >= 1 and k >= 1")
-    return ArithmeticProgression(0 if from_zero else d, d).reconstruct(k)
-
-
-def sum_closure4(a1: int, a2: int, a3: int) -> IntegerSet:
-    """{a1, a2, a3, a1+a2+a3}: 4-element full-fold minimizer."""
-    if not 0 < a1 < a2 < a3:
-        raise BadParams("sum_closure4 needs 0 < a1 < a2 < a3")
-    return SumClosure4(a1, a2, a3).reconstruct()
-
-
-def diff_closure4(a1: int, a2: int, a3: int) -> IntegerSet:
-    """{a1, a2, a3, a3+a2-a1}: 4-element full-fold minimizer."""
-    if not 0 < a1 < a2 < a3:
-        raise BadParams("diff_closure4 needs 0 < a1 < a2 < a3")
-    return DiffClosure4(a1, a2, a3).reconstruct()
-
-
-def pair_closure3(a1: int, a2: int) -> IntegerSet:
-    """{a1, a2, a1+a2}: 3-element full-fold minimizer."""
-    if not 0 < a1 < a2:
-        raise BadParams("pair_closure3 needs 0 < a1 < a2")
-    return zero_pair_closure4(a1, a2).remove(0)
-
-
-def zero_pair_closure4(a1: int, a2: int) -> IntegerSet:
-    """{0, a1, a2, a1+a2}: 4-element full-fold minimizer containing 0."""
-    if not 0 < a1 < a2:
-        raise BadParams("zero_pair_closure4 needs 0 < a1 < a2")
-    return DiffClosure4(0, a1, a2).reconstruct()
-
-
-_EXTREMAL_KINDS: dict[str, Callable[..., IntegerSet]] = {
-    "odd_progression": odd_progression,
-    "interval": interval,
-    "sum_closure4": sum_closure4,
-    "diff_closure4": diff_closure4,
-    "pair_closure3": pair_closure3,
-    "zero_pair_closure4": zero_pair_closure4,
-}
-
-
-def extremal_set(kind: str, **params) -> IntegerSet:
-    """Build a named extremal family member; BadParams on unknown kind."""
-    builder = _EXTREMAL_KINDS.get(kind)
-    if builder is None:
-        raise BadParams(
-            f"unknown extremal kind {kind!r}; known: {sorted(_EXTREMAL_KINDS)}"
-        )
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise BadParams(f"bad parameters for {kind}: {exc}") from exc

@@ -19,7 +19,7 @@ from .errors import BadParams, RegimeUnsupported, SumsetLabError
 from .intset import IntegerSet, subsums
 from .inverse import BOUND_VIOLATED, EQUALITY_UNEXPECTED, inverse_verdict
 from .search import SearchSpace, minimize, worker_count
-from .witness import ALL_LEMMAS, LEMMA_ODD_SUBSUMS, generate, ordering_guards_hold
+from .witness import ALL_LEMMAS, generate, ordering_guards_hold
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -59,8 +59,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as ex:
+            raise BadParams(f"cannot write --out {out}: {ex.strerror}") from ex
     else:
         sys.stdout.write(text)
 
@@ -193,16 +196,12 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     _check_format(args.format, ("text", "json"))
     A = parse_set_literal(args.set)
-    if args.lemma == LEMMA_ODD_SUBSUMS and args.h is not None and args.h != A.size:
-        raise BadParams(
-            f"odd-subsums always folds all |A|={A.size} elements; drop --h"
-        )
     family = generate(args.lemma, A, h=args.h, r=args.r)
     checks = family.verify()
     guards = ordering_guards_hold(family)
     passed = checks.all_pass() and guards
     if args.format == "json":
-        text = _json_dumps(family.to_dict())
+        text = _json_dumps(family.to_dict(checks))
     else:
         lines = [f"lemma={family.lemma} set={A} fold={family.fold}"]
         for part in family.parts:
@@ -211,7 +210,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
                 f"branch={part.branch if part.branch else '-'}"
             )
         lines.append(f"total={family.claimed_total}")
-        lines.append(f"target_cardinality={family.target_values().cardinality}")
+        lines.append(f"target_cardinality={checks.target_cardinality}")
         lines.append(
             f"checks disjoint={_bool(checks.disjoint)} "
             f"contained={_bool(checks.contained)} "

@@ -7,6 +7,7 @@ magnitude range are enforced in exactly one place.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -51,13 +52,6 @@ class IntegerSet:
                 raise BadParams("elements must be strictly increasing and distinct")
             prev = a
 
-    @classmethod
-    def interval(cls, lo: int, hi: int) -> "IntegerSet":
-        """The integers from lo to hi inclusive."""
-        if lo > hi:
-            raise EmptyInput(f"interval [{lo}, {hi}] is empty")
-        return cls(tuple(range(lo, hi + 1)))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
@@ -78,9 +72,6 @@ class IntegerSet:
     @property
     def max(self) -> int:
         return self.elements[-1]
-
-    def is_positive(self) -> bool:
-        return self.elements[0] >= 1
 
     def all_odd(self) -> bool:
         return all(a % 2 == 1 for a in self.elements)
@@ -127,14 +118,8 @@ class SumsetResult:
         return self.values[-1]
 
     def __contains__(self, value: int) -> bool:
-        lo, hi = 0, len(self.values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.values[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.values) and self.values[lo] == value
+        i = bisect_left(self.values, value)
+        return i < len(self.values) and self.values[i] == value
 
 
 def canonicalize(raw: Iterable[int]) -> IntegerSet:

@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundCatalogEntry, bound_catalogue
+from .bounds import BoundCatalogEntry, catalogue_entry
 from .engine import MAX_FOLD, fold_restricted
 from .errors import BadParams, FoldTooLarge, SpaceTooLarge
 from .intset import MAX_ELEMENT, IntegerSet, class_name, classify_structure
@@ -119,7 +119,7 @@ class SearchSpace:
         pool workers, and catalogue entries hold lambdas.
         """
         entry_id = "RSS_conj2" if self.regime == REGIME_ZERO else "RSS_direct"
-        return next(entry for entry in bound_catalogue() if entry.id == entry_id)
+        return catalogue_entry(entry_id)
 
     @property
     def hypotheses_hold(self) -> bool:

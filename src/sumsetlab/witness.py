@@ -3,7 +3,8 @@
 Each generator takes a set satisfying one lemma's hypotheses and constructs
 the explicit family of disjoint blocks that the lemma's proof exhibits inside
 the target sumset.  The construction is recomputed from scratch on every
-call; verify() then checks the three claims every family makes:
+call; verify() then folds the target (and the baseline, when there is one)
+once and checks the three claims every family makes:
 
   disjoint       parts are pairwise disjoint (and avoid the baseline sumset
                  the lemma counts separately, when there is one)
@@ -12,9 +13,10 @@ call; verify() then checks the three claims every family makes:
 
 A verified family certifies |target| >= claimed_total (+ |baseline| when a
 baseline is present) with no trust in the sumset engine's counting, only in
-its membership answers.  Generators raise HypothesisViolated on bad inputs;
-a generated family whose checks fail is a falsification event to report,
-never an exception.
+its membership answers.  Each lemma's hypotheses are predicates of the
+bound catalogue; a generator raises HypothesisViolated naming the lemma and
+its hypotheses when they fail.  A generated family whose checks fail is a
+falsification event to report, never an exception.
 """
 
 from __future__ import annotations
@@ -22,8 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .bounds import (
+    MIXED_CASE2_TEXT,
+    MIXED_CASE3_TEXT,
+    catalogue_entry,
+    mixed_case2_base,
+    mixed_case3_base,
+)
 from .engine import SumsetVariant, compute_dp
-from .errors import HypothesisViolated
+from .errors import BadParams, HypothesisViolated
 from .intset import IntegerSet, SumsetResult, subsums
 
 LEMMA_PARITY_SPLIT = "parity-split"
@@ -60,6 +69,7 @@ class WitnessChecks:
     disjoint: bool
     contained: bool
     total_matches: bool
+    target_cardinality: int
 
     def all_pass(self) -> bool:
         return self.disjoint and self.contained and self.total_matches
@@ -88,6 +98,7 @@ class WitnessFamily:
         return compute_dp(self.baseline_set, SumsetVariant.RESTRICTED_SIGNED, self.fold)
 
     def verify(self) -> WitnessChecks:
+        """Check the family, folding the target and the baseline once each."""
         seen: set[int] = set()
         disjoint = True
         for part in self.parts:
@@ -98,13 +109,13 @@ class WitnessFamily:
         baseline = self.baseline_values()
         if disjoint and baseline is not None and seen & set(baseline.values):
             disjoint = False
-        target = set(self.target_values().values)
-        contained = seen <= target
+        target = self.target_values()
+        contained = seen <= set(target.values)
         total_matches = sum(p.size for p in self.parts) == self.claimed_total
-        return WitnessChecks(disjoint, contained, total_matches)
+        return WitnessChecks(disjoint, contained, total_matches, target.cardinality)
 
-    def to_dict(self) -> dict:
-        checks = self.verify()
+    def to_dict(self, checks: WitnessChecks) -> dict:
+        """The family with the checks verify() returned for it."""
         return {
             "lemma": self.lemma,
             "parts": [
@@ -112,7 +123,7 @@ class WitnessFamily:
                 for p in self.parts
             ],
             "total": self.claimed_total,
-            "target_cardinality": self.target_values().cardinality,
+            "target_cardinality": checks.target_cardinality,
             "checks": {
                 "disjoint": checks.disjoint,
                 "contained": checks.contained,
@@ -121,9 +132,9 @@ class WitnessFamily:
         }
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise HypothesisViolated(message)
+def _require(lemma: str, holds: bool, hypotheses: str, given: str) -> None:
+    if not holds:
+        raise HypothesisViolated(f"{lemma} needs {hypotheses}; got {given}")
 
 
 def _part(name: str, values, branch: Optional[str] = None) -> WitnessPart:
@@ -140,13 +151,14 @@ def witness_parity_split(A: IntegerSet, h: int, r: int) -> WitnessFamily:
     elements disjoint from the full fold of A minus its r-th element.
     """
     e = A.elements
-    k = len(e)
-    _require(h >= 3, f"need h >= 3, got {h}")
-    _require(k == h + 1, f"need |A| = h+1 = {h + 1}, got {k}")
-    _require(A.min >= 1, "need positive elements")
-    _require((e[1] - e[0]) % 2 == 0, "first two elements must share parity")
-    _require(3 <= r <= h + 1, f"need 3 <= r <= {h + 1}, got {r}")
-    _require((e[r - 1] - e[0]) % 2 == 1, f"element #{r} must differ in parity from the first")
+    case1 = catalogue_entry("MixedParity_case1")
+    _require(
+        LEMMA_PARITY_SPLIT,
+        # case 1 fixes |A| = h+1, so element #r exists once r is in range.
+        case1.applies(A, h) and 3 <= r <= h + 1 and (e[r - 1] - e[0]) % 2 == 1,
+        case1.hypotheses_text + ", 3 <= r <= k, element #r differs in parity from the 1st",
+        f"A={A}, h={h}, r={r}",
+    )
 
     u = -sum(e[1:])
     v = -sum(e[2:])
@@ -182,9 +194,8 @@ def witness_odd_subsums(A: IntegerSet) -> WitnessFamily:
     """
     e = A.elements
     h = len(e)
-    _require(h >= 3, f"need at least 3 elements, got {h}")
-    _require(A.min >= 1, "need positive elements")
-    _require(A.all_odd(), "need all elements odd")
+    odd = catalogue_entry("Odd_k_eq_h")
+    _require(LEMMA_ODD_SUBSUMS, odd.applies(A, h), odd.hypotheses_text, f"A={A}")
 
     if h == 3:
         sums = [0, e[0], e[1], e[2], e[0] + e[1], e[0] + e[2], e[1] + e[2], sum(e)]
@@ -275,12 +286,8 @@ def witness_mixed_parity_a3(A: IntegerSet, h: int) -> WitnessFamily:
     two of them coincide, which decides the claimed total.  The family is
     disjoint from the full fold omitting the 1st element.
     """
+    _require(LEMMA_MIXED_PARITY_A3, mixed_case2_base(A, h), MIXED_CASE2_TEXT, f"A={A}, h={h}")
     e = A.elements
-    _require(h >= 3, f"need h >= 3, got {h}")
-    _require(len(e) == h + 1, f"need |A| = h+1 = {h + 1}, got {len(e)}")
-    _require(A.min >= 1, "need positive elements")
-    _require((e[1] - e[0]) % 2 == 1, "2nd element must differ in parity from the 1st")
-    _require((e[2] - e[0]) % 2 == 1, "3rd element must differ in parity from the 1st")
 
     u = -(e[0] + sum(e[2:]))
     v = -(e[0] + e[1] + sum(e[3:]))
@@ -303,12 +310,8 @@ def witness_mixed_parity_a2(A: IntegerSet, h: int) -> WitnessFamily:
     full fold omitting the 2nd element, with 2-point clusters.  Exhibits
     h(h+1)/2 + h elements disjoint from that full fold.
     """
+    _require(LEMMA_MIXED_PARITY_A2, mixed_case3_base(A, h), MIXED_CASE3_TEXT, f"A={A}, h={h}")
     e = A.elements
-    _require(h >= 4, f"need h >= 4, got {h}")
-    _require(len(e) == h + 1, f"need |A| = h+1 = {h + 1}, got {len(e)}")
-    _require(A.min >= 1, "need positive elements")
-    _require((e[1] - e[0]) % 2 == 1, "2nd element must differ in parity from the 1st")
-    _require((e[2] - e[0]) % 2 == 0, "3rd element must match the 1st in parity")
 
     u = -sum(e[1:])
     v = -(e[0] + e[1] + sum(e[3:]))
@@ -329,19 +332,21 @@ def witness_all_odd_extension(A: IntegerSet, h: int) -> WitnessFamily:
     values only one can already be covered, so the realized pair is chosen
     by membership and recorded as the branch.
     """
+    base = catalogue_entry("RSS_base")
+    _require(
+        LEMMA_ALL_ODD_EXTENSION,
+        base.applies(A, h) and A.all_odd(),
+        base.hypotheses_text + ", A all odd",
+        f"A={A}, h={h}",
+    )
     e = A.elements
-    _require(h >= 3, f"need h >= 3, got {h}")
-    _require(len(e) == h + 1, f"need |A| = h+1 = {h + 1}, got {len(e)}")
-    _require(A.min >= 1, "need positive elements")
-    _require(A.all_odd(), "need all elements odd")
 
     prefix = IntegerSet(e[:-1])
     inner = compute_dp(prefix, SumsetVariant.RESTRICTED_SIGNED, h)
     plus = compute_dp(A, SumsetVariant.RESTRICTED, h)
     z = inner.max
     covered = set(inner.values) | set(plus.values) | {-x for x in plus.values}
-    alpha = z + e[h] - e[h - 1] - 2 * e[1]
-    beta = z + e[h] - e[h - 1] - 2 * e[0]
+    alpha, beta = _extension_candidates(e, h, z)
     if alpha not in covered:
         extra, branch = alpha, "lower-candidate"
     else:
@@ -361,6 +366,13 @@ def witness_all_odd_extension(A: IntegerSet, h: int) -> WitnessFamily:
         parts=tuple(parts),
         claimed_total=inner.cardinality + 2 * (plus.cardinality - 1) + 2,
     )
+
+
+def _extension_candidates(e: tuple[int, ...], h: int, z: int) -> tuple[int, int]:
+    """All-odd-extension's candidate extra values over the inner fold max z:
+    alpha = z + a_{h+1} - a_h - 2*a_2 and beta = z + a_{h+1} - a_h - 2*a_1."""
+    top = z + e[h] - e[h - 1]
+    return top - 2 * e[1], top - 2 * e[0]
 
 
 def ordering_guards_hold(family: WitnessFamily) -> bool:
@@ -416,8 +428,7 @@ def ordering_guards_hold(family: WitnessFamily) -> bool:
         inner = by_name["inner-fold"].values
         z = inner[-1]
         x, y = z - 2 * e[1], z - 2 * e[0]
-        alpha = z + e[h] - e[h - 1] - 2 * e[1]
-        beta = z + e[h] - e[h - 1] - 2 * e[0]
+        alpha, beta = _extension_candidates(e, h, z)
         upper = by_name["upper-sums"].values
         ok = x < y < z and 0 < alpha < beta and x < alpha and y < beta
         # upper-sums is the unsigned fold minus its minimum z, so upper[0]
@@ -428,8 +439,18 @@ def ordering_guards_hold(family: WitnessFamily) -> bool:
 
 def generate(lemma: str, A: IntegerSet, h: Optional[int] = None,
              r: Optional[int] = None) -> WitnessFamily:
-    """Dispatch a witness generator by lemma id."""
+    """Dispatch a witness generator by lemma id.
+
+    Only parity-split takes r, and odd-subsums takes no fold count other
+    than |A|: a parameter a lemma does not read is rejected, not ignored.
+    """
+    if r is not None and lemma != LEMMA_PARITY_SPLIT:
+        raise BadParams(f"{lemma} takes no odd-one-out index; drop --r")
     if lemma == LEMMA_ODD_SUBSUMS:
+        if h is not None and h != A.size:
+            raise BadParams(
+                f"odd-subsums always folds all |A|={A.size} elements; drop --h"
+            )
         return witness_odd_subsums(A)
     if h is None:
         raise HypothesisViolated(f"lemma {lemma!r} needs a fold count")

@@ -2,21 +2,10 @@ import json
 
 import pytest
 
-from sumsetlab.bounds import (
-    bound_catalogue,
-    catalogue_to_json,
-    check_bounds,
-    diff_closure4,
-    extremal_set,
-    interval,
-    odd_progression,
-    pair_closure3,
-    sum_closure4,
-    zero_pair_closure4,
-)
+from sumsetlab.bounds import bound_catalogue, catalogue_to_json, check_bounds
 from sumsetlab.engine import SumsetVariant, compute_dp
-from sumsetlab.errors import BadParams, VariantMismatch
-from sumsetlab.intset import ArithmeticProgression, IntegerSet
+from sumsetlab.errors import VariantMismatch
+from sumsetlab.intset import ArithmeticProgression, DilatedOddProgression, IntegerSet
 
 RSS = SumsetVariant.RESTRICTED_SIGNED
 R = SumsetVariant.RESTRICTED
@@ -167,17 +156,17 @@ class TestTightness:
     def test_odd_progression_attains_direct_bound(self):
         for d in (1, 3):
             for k, h in ((4, 3), (5, 3), (5, 4)):
-                A = odd_progression(d, k)
+                A = DilatedOddProgression(d).reconstruct(k)
                 got = compute_dp(A, RSS, h).cardinality
                 assert got == 2 * h * k - h * h + 1
 
     def test_interval_attains_weak_positive_bound_at_full_fold(self):
-        A = interval(1, 4)
+        A = ArithmeticProgression(1, 1).reconstruct(4)
         got = compute_dp(A, RSS, 4).cardinality
         assert got == entry("RSS_weak_pos").value(4, 4) == 11
 
     def test_zero_interval_attains_weak_zero_bound_at_full_fold(self):
-        A = interval(1, 4, from_zero=True)
+        A = ArithmeticProgression(0, 1).reconstruct(4)
         got = compute_dp(A, RSS, 4).cardinality
         assert got == entry("RSS_weak_zero").value(4, 4) == 7
 
@@ -190,38 +179,6 @@ class TestTightness:
         A = IntegerSet((3, 5, 7, 9, 11))
         got = compute_dp(A, R, 2).cardinality
         assert got == entry("R_plain").value(5, 2) == 7
-
-
-class TestExtremalConstructors:
-    def test_builders(self):
-        assert odd_progression(2, 4).elements == (2, 6, 10, 14)
-        assert interval(3, 3).elements == (3, 6, 9)
-        assert interval(3, 3, from_zero=True).elements == (0, 3, 6)
-        assert sum_closure4(1, 3, 5).elements == (1, 3, 5, 9)
-        assert diff_closure4(1, 3, 7).elements == (1, 3, 7, 9)
-        assert pair_closure3(2, 5).elements == (2, 5, 7)
-        assert zero_pair_closure4(1, 4).elements == (0, 1, 4, 5)
-
-    def test_builder_validation(self):
-        with pytest.raises(BadParams):
-            odd_progression(0, 4)
-        with pytest.raises(BadParams):
-            interval(1, 0)
-        with pytest.raises(BadParams):
-            sum_closure4(3, 1, 5)
-        with pytest.raises(BadParams):
-            diff_closure4(1, 1, 5)
-        with pytest.raises(BadParams):
-            pair_closure3(5, 2)
-        with pytest.raises(BadParams):
-            zero_pair_closure4(0, 2)
-
-    def test_dispatcher(self):
-        assert extremal_set("odd_progression", d=1, k=5).elements == (1, 3, 5, 7, 9)
-        with pytest.raises(BadParams):
-            extremal_set("unknown_kind")
-        with pytest.raises(BadParams):
-            extremal_set("interval", wrong_param=1)
 
 
 class TestApHelper:

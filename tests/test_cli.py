@@ -244,6 +244,11 @@ class TestWitness:
                            "--set", "1,3,5,7", "--h", "3")
         assert code == 2 and "drop --h" in err
 
+    def test_rejects_r_outside_parity_split(self, capsys):
+        code, out, err = run(capsys, "witness", "--lemma", "odd-subsums",
+                             "--set", "1,3,5,7", "--r", "2")
+        assert code == 2 and out == "" and "drop --r" in err
+
     def test_odd_subsums_accepts_matching_fold(self, capsys):
         code, out, _ = run(capsys, "witness", "--lemma", "odd-subsums",
                            "--set", "1,3,5,7", "--h", "4")
@@ -259,6 +264,38 @@ class TestWitness:
         assert doc["checks"] == {
             "disjoint": True, "contained": True, "total_matches": True,
         }
+
+    # Per lemma: the rest of a passing request, and how many distinct sumsets
+    # it needs (target and baseline, plus all-odd-extension's inner and
+    # unsigned folds).
+    FOLDS = {
+        "parity-split": (["2,4,5,6,8", "--h", "4", "--r", "3"], 2),
+        "odd-subsums": (["1,3,5,7"], 1),
+        "mixed-parity-a3": (["1,2,6,8", "--h", "3"], 2),
+        "mixed-parity-a2": (["1,2,3,5,7", "--h", "4"], 2),
+        "all-odd-extension": (["1,3,5,9", "--h", "3"], 3),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("lemma", list(FOLDS))
+    def test_folds_each_sumset_once(self, capsys, monkeypatch, lemma, fmt):
+        import sumsetlab.witness as witness_mod
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, args))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(witness_mod, "compute_dp", counted("dp", witness_mod.compute_dp))
+        monkeypatch.setattr(witness_mod, "subsums", counted("subsums", witness_mod.subsums))
+        (elems, *rest), distinct = self.FOLDS[lemma]
+        code, _, _ = run(capsys, "witness", "--lemma", lemma, "--set", elems, *rest,
+                         "--format", fmt)
+        assert code == 0
+        assert len(calls) == len(set(calls)) == distinct
 
     def test_failing_family_exits_one(self, capsys, monkeypatch):
         # Generators never emit failing families for valid inputs at desk
@@ -299,6 +336,14 @@ class TestOutputPlumbing:
         assert code == 0 and out == ""
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["cardinality"] == 16
+
+    @pytest.mark.parametrize("target", ["dir", "missing-parent"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        path = tmp_path if target == "dir" else tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "compute", "--set", "1,2,3", "--h", "2",
+                             "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --out {path}: ")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,7 +40,7 @@ class TestFoldValidation:
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_fold_cap(self, variant):
-        big = IntegerSet.interval(1, MAX_FOLD + 1)
+        big = IntegerSet(tuple(range(1, MAX_FOLD + 2)))
         with pytest.raises(FoldTooLarge):
             compute_dp(big, variant, MAX_FOLD + 1)
 
@@ -106,7 +106,7 @@ class TestOracleCost:
         assert count == oracle_cost(k, SumsetVariant.SIGNED, h)
 
     def test_cap_enforced(self):
-        big = IntegerSet.interval(1, 40)
+        big = IntegerSet(tuple(range(1, 41)))
         assert oracle_cost(40, SumsetVariant.RESTRICTED_SIGNED, 30) > ORACLE_COST_CAP
         with pytest.raises(CostCapExceeded):
             compute_oracle(big, SumsetVariant.RESTRICTED_SIGNED, 30)

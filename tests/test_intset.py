@@ -57,15 +57,7 @@ class TestIntegerSet:
         with pytest.raises(Overflow):
             IntegerSet((-MAX_ELEMENT - 1, 0))
 
-    def test_interval(self):
-        assert IntegerSet.interval(2, 5).elements == (2, 3, 4, 5)
-        assert IntegerSet.interval(7, 7).elements == (7,)
-        with pytest.raises(EmptyInput):
-            IntegerSet.interval(5, 4)
-
     def test_predicates(self):
-        assert IntegerSet((1, 3, 9)).is_positive()
-        assert not IntegerSet((0, 3)).is_positive()
         assert IntegerSet((1, 3, 9)).all_odd()
         assert not IntegerSet((1, 4)).all_odd()
         assert IntegerSet((1, 3, 9)).total() == 13
@@ -123,9 +115,9 @@ class TestHelpers:
         assert r.values == (-2, -1, 0, 1)
 
     def test_subsums_cap(self):
-        subsums(IntegerSet.interval(1, 30))
+        subsums(IntegerSet(tuple(range(1, 31))))
         with pytest.raises(SizeCapExceeded):
-            subsums(IntegerSet.interval(1, 31))
+            subsums(IntegerSet(tuple(range(1, 32))))
 
 
 class TestClassification:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,11 +10,11 @@ from conftest import (
     random_odd_subsums_instance,
     random_parity_split_instance,
 )
-from sumsetlab.errors import HypothesisViolated
+from sumsetlab.bounds import bound_catalogue
+from sumsetlab.errors import BadParams, HypothesisViolated
 from sumsetlab.intset import IntegerSet
 from sumsetlab.witness import (
     ALL_LEMMAS,
-    LEMMA_ODD_SUBSUMS,
     WitnessFamily,
     WitnessPart,
     generate,
@@ -276,6 +277,25 @@ class TestDispatchAndSerialization:
         with pytest.raises(HypothesisViolated):
             generate("parity-split", IntegerSet((2, 4, 5, 6, 8)), h=4)
 
+    def test_generate_rejects_fold_odd_subsums_does_not_read(self):
+        A = IntegerSet((1, 3, 5, 7))
+        with pytest.raises(BadParams, match="drop --h"):
+            generate("odd-subsums", A, h=2)
+        assert generate("odd-subsums", A, h=4).fold == 4
+
+    @pytest.mark.parametrize("lemma", [x for x in ALL_LEMMAS if x != "parity-split"])
+    def test_generate_rejects_r_outside_parity_split(self, lemma):
+        with pytest.raises(BadParams, match="drop --r"):
+            generate(lemma, IntegerSet((1, 3, 5, 7)), h=3, r=3)
+
+    def test_hypothesis_error_names_lemma_and_hypotheses(self):
+        with pytest.raises(HypothesisViolated) as exc:
+            witness_mixed_parity_a2(IntegerSet((1, 2, 4, 6, 8)), 4)
+        assert str(exc.value) == (
+            "mixed-parity-a2 needs k = h+1, h >= 4, A positive, only the 2nd "
+            "element differs in parity from the 1st; got A={1,2,4,6,8}, h=4"
+        )
+
     def test_generate_unknown_lemma(self):
         with pytest.raises(HypothesisViolated):
             generate("no-such-lemma", IntegerSet((1, 3, 5)), h=3)
@@ -291,7 +311,7 @@ class TestDispatchAndSerialization:
 
     def test_to_dict_schema(self):
         fam = witness_odd_subsums(IntegerSet((1, 3, 5, 7)))
-        doc = fam.to_dict()
+        doc = fam.to_dict(fam.verify())
         assert list(doc) == ["lemma", "parts", "total", "target_cardinality", "checks"]
         assert list(doc["parts"][0]) == ["name", "size", "branch"]
         assert list(doc["checks"]) == ["disjoint", "contained", "total_matches"]
@@ -305,3 +325,43 @@ class TestDispatchAndSerialization:
         target = fam.target_values().cardinality
         baseline = fam.baseline_values().cardinality
         assert target >= baseline + fam.claimed_total
+
+
+def _violates(make) -> bool:
+    try:
+        make()
+    except HypothesisViolated:
+        return True
+    return False
+
+
+def test_generators_accept_exactly_their_catalogue_hypotheses():
+    # Each generator must raise HypothesisViolated exactly when the catalogue
+    # predicates its lemma rests on fail: the union of the MixedParity_case2
+    # (case3) entries for mixed-parity-a3 (a2), RSS_base on all-odd sets for
+    # all-odd-extension, Odd_k_eq_h at h = |A| for odd-subsums, and
+    # MixedParity_case1 with an odd-one-out a_r, 3 <= r <= k, for parity-split.
+    entries = {e.id: e for e in bound_catalogue()}
+
+    def any_entry(prefix, A, h):
+        return any(e.applies(A, h) for i, e in entries.items() if i.startswith(prefix))
+
+    checked = 0
+    for k in range(1, 8):
+        for combo in itertools.combinations(range(12), k):
+            A = IntegerSet(combo)
+            odd_ok = entries["Odd_k_eq_h"].applies(A, k)
+            assert _violates(lambda: witness_odd_subsums(A)) is not odd_ok, combo
+            for h in range(1, 9):
+                checked += 1
+                case1 = entries["MixedParity_case1"].applies(A, h)
+                for r in range(1, k + 2):
+                    ok = case1 and 3 <= r <= k and (combo[r - 1] - combo[0]) % 2 == 1
+                    assert _violates(lambda: witness_parity_split(A, h, r)) is not ok, (combo, h, r)
+                a3_ok = any_entry("MixedParity_case2", A, h)
+                assert _violates(lambda: witness_mixed_parity_a3(A, h)) is not a3_ok, (combo, h)
+                a2_ok = any_entry("MixedParity_case3", A, h)
+                assert _violates(lambda: witness_mixed_parity_a2(A, h)) is not a2_ok, (combo, h)
+                ext_ok = entries["RSS_base"].applies(A, h) and A.all_odd()
+                assert _violates(lambda: witness_all_odd_extension(A, h)) is not ext_ok, (combo, h)
+    assert checked == 3301 * 8
