@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="number of contiguous work ranges (default: worker count)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: SUMSETLAB_THREADS or all cores)")
+                   help="at most this many processes (default: SUMSETLAB_THREADS or all"
+                        " cores); small spaces are scanned in-process")
     p.add_argument("--no-gcd-reduce", action="store_true",
                    help="also scan sets whose elements share a factor")
     p.add_argument("--allow-any-fold", action="store_true",

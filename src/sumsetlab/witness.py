@@ -141,7 +141,7 @@ def _part(name: str, values, branch: Optional[str] = None) -> WitnessPart:
     return WitnessPart(name, tuple(sorted(values)), branch)
 
 
-def witness_parity_split(A: IntegerSet, h: int, r: int) -> WitnessFamily:
+def witness_parity_split(A: IntegerSet, h: int, r: Optional[int]) -> WitnessFamily:
     """Family for: k = h+1 positive, first two elements share parity, the
     r-th (1-based, r >= 3) differs.
 
@@ -150,6 +150,8 @@ def witness_parity_split(A: IntegerSet, h: int, r: int) -> WitnessFamily:
     interleave between consecutive blocks.  Exhibits h(h+1)/2 + 2h + 1
     elements disjoint from the full fold of A minus its r-th element.
     """
+    if r is None:
+        raise HypothesisViolated("parity-split needs the 1-based index r of an odd-one-out element")
     e = A.elements
     case1 = catalogue_entry("MixedParity_case1")
     _require(
@@ -455,8 +457,6 @@ def generate(lemma: str, A: IntegerSet, h: Optional[int] = None,
     if h is None:
         raise HypothesisViolated(f"lemma {lemma!r} needs a fold count")
     if lemma == LEMMA_PARITY_SPLIT:
-        if r is None:
-            raise HypothesisViolated("parity-split needs the 1-based index r of an odd-one-out element")
         return witness_parity_split(A, h, r)
     if lemma == LEMMA_MIXED_PARITY_A3:
         return witness_mixed_parity_a3(A, h)

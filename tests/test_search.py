@@ -8,8 +8,10 @@ import pytest
 from sumsetlab.engine import SumsetVariant, compute_dp
 from sumsetlab.errors import BadParams, FoldTooLarge, SpaceTooLarge
 from sumsetlab.intset import IntegerSet, class_name, classify_structure
+from sumsetlab import search
 from sumsetlab.search import (
     MINIMIZER_CAP,
+    SETS_PER_WORKER,
     SearchSpace,
     _colex_advance,
     _colex_unrank,
@@ -269,6 +271,54 @@ class TestDeterminism:
         space = SearchSpace(4, 3, 9)
         assert space.total_sets < 200
         assert minimize(space, shards=200).to_json() == minimize(space).to_json()
+
+    def test_huge_shard_count_is_capped_at_the_set_count(self, monkeypatch):
+        # One task per requested shard would exhaust memory long before
+        # the scan; the split must never ask for more shards than sets.
+        space = SearchSpace(4, 3, 7)
+        requested = []
+
+        def spy(total, shards):
+            requested.append(shards)
+            assert shards <= total, f"{shards} shards for {total} sets"
+            return partition_work(total, shards)
+
+        monkeypatch.setattr(search, "partition_work", spy)
+        report = minimize(space, shards=10**9, workers=2)
+        assert requested == [space.total_sets]
+        assert report.to_json() == minimize(space, shards=1).to_json()
+
+
+class TestPoolSizing:
+    def test_large_space_starts_a_pool(self, monkeypatch):
+        # 17,550 sets: two workers' worth, so shards >= 2 start a pool.
+        space = SearchSpace(4, 3, 27)
+        assert space.total_sets // SETS_PER_WORKER == 2
+        pools = []
+        real = search.ProcessPoolExecutor
+
+        def counting(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", counting)
+        for shards in (1, 2, 7):
+            serial = minimize(space, shards=shards, workers=1).to_json()
+            assert minimize(space, shards=shards, workers=2).to_json() == serial
+        # shards=1 leaves one task, which is scanned in-process.
+        assert pools == [2, 2]
+
+    def test_small_space_never_starts_a_pool(self, monkeypatch):
+        space = SearchSpace(5, 4, 11)
+        assert space.total_sets < 2 * SETS_PER_WORKER
+
+        def refuse(max_workers):
+            raise AssertionError(f"pool of {max_workers} started for a small space")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
+        serial = minimize(space, shards=1, workers=1).to_json()
+        for shards in (1, 2, 8):
+            assert minimize(space, shards=shards, workers=8).to_json() == serial
 
 
 class TestReportSerialization:

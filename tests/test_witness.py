@@ -277,6 +277,11 @@ class TestDispatchAndSerialization:
         with pytest.raises(HypothesisViolated):
             generate("parity-split", IntegerSet((2, 4, 5, 6, 8)), h=4)
 
+    def test_parity_split_requires_r_on_a_direct_call(self):
+        # {2,4,5,6,8} meets MixedParity_case1 at h=4, so only r is missing.
+        with pytest.raises(HypothesisViolated, match="needs the 1-based index r"):
+            witness_parity_split(IntegerSet((2, 4, 5, 6, 8)), 4, None)
+
     def test_generate_rejects_fold_odd_subsums_does_not_read(self):
         A = IntegerSet((1, 3, 5, 7))
         with pytest.raises(BadParams, match="drop --h"):
