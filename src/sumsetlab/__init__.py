@@ -47,13 +47,8 @@ from .witness import (
     WitnessPart,
     generate,
     ordering_guards_hold,
-    witness_all_odd_extension,
-    witness_mixed_parity_a2,
-    witness_mixed_parity_a3,
-    witness_odd_subsums,
-    witness_parity_split,
 )
-from .search import SearchReport, SearchSpace, minimize, partition_work
+from .search import SearchReport, SearchSpace, minimize
 
 __all__ = [
     "SumsetLabError",
@@ -95,15 +90,9 @@ __all__ = [
     "WitnessPart",
     "generate",
     "ordering_guards_hold",
-    "witness_all_odd_extension",
-    "witness_mixed_parity_a2",
-    "witness_mixed_parity_a3",
-    "witness_odd_subsums",
-    "witness_parity_split",
     "SearchReport",
     "SearchSpace",
     "minimize",
-    "partition_work",
 ]
 
 __version__ = "0.1.0"

@@ -16,17 +16,20 @@ returns its minimum, the exact count of minimum-achieving sets, the first
 64 of them in colex order, and a structure-class tally; shards merge in
 rank order.
 
-A shard counts each set's sumset without building it.  The restricted-signed
-fold does not depend on element order, so elements are folded in from the
-largest down, and the layer tables of every suffix of the current colex
-combination are kept.  A colex step changes only the positions up to the
-one _colex_advance returns, so only the tables below it are refolded; the
-common step, which moves just the smallest element, costs one top-layer
-fold and a bit count.  The gcd filter is cached per suffix the same way.
-Tables are offset by h * max A, as in compute_dp, so a right shift never
-drops a set bit; the offset changes only when the largest element moves,
-which refolds every table anyway.  An IntegerSet is built and classified
-only for a set that ties or undercuts the shard's running minimum.
+A shard counts each set's sumset without building it.  Colex order is the
+order of nested loops with the largest element outermost, so a shard walks
+the space depth first.  The restricted-signed fold does not depend on
+element order, so each element from the largest down to the third-smallest
+is folded once into a copy of the tables above it.  The two smallest
+elements share one double loop: the second-smallest reduces the tables to
+two ints, and each smallest element then costs three shifts, two ors and a
+bit count.  The zero regime's pinned 0 sits above the largest free element,
+so every space, down to one free element, takes the same walk.  A shard
+starts at the unranked colex combination of its first rank and stops after
+exactly its count of sets.  Tables are offset by h * max, so a right shift
+never drops a set bit.  The gcd filter, an IntegerSet and a classification
+cost something only for a set that ties or undercuts the shard's running
+minimum.
 """
 
 from __future__ import annotations
@@ -51,14 +54,16 @@ OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 SPACE_CAP = 10**9
 MINIMIZER_CAP = 64
 
-# Fewest sets worth a pool worker.  Measured with minimize at shards=2
-# (Python 3.11, 2 CPUs, fork): the serial scan costs 1.3-2.5 us per set,
-# and a 2-worker pool adds about 10 ms of start-up, so pooling loses below
-# about 8k sets (35 sets: 0.24 ms serial, 10.0 ms pooled; 3,003: 4.7 vs
-# 14.8 ms; 8,008: 12.8 vs 22.1 ms), breaks even at 8.5k-15.5k (8,568:
-# 18.0 vs 17.6 ms; 15,504: 30.2 vs 29.9 ms) and wins from about 18k
-# (18,564: 46.0 vs 36.8 ms; 77,520: 147 vs 114 ms).
-SETS_PER_WORKER = 8192
+# Fewest sets worth a pool worker.  Measured with minimize at shards=2,
+# serial and 2-worker runs alternating, median of 15 (Python 3.11, 2 CPUs,
+# fork): the serial scan costs 0.6-1.8 us per set, and a 2-worker pool adds
+# 15-20 ms of start-up, so pooling loses below about 30k sets (3,003:
+# 4.5 ms serial, 18.5 ms pooled; 18,564: 18.7 vs 23.8 ms), breaks even
+# between 30k and 55k, later the cheaper a set (31,824 sets at k=7: 38.0
+# vs 35.5 ms; 38,760 at k=6: 33.5 vs 37.0 ms; 42,504 at k=5: 27.8 vs
+# 34.4 ms; 53,130 at k=5: 33.4 vs 32.8 ms), and wins from there (50,388:
+# 70.9 vs 55.1 ms; 77,520: 88.7 vs 75.9 ms).
+SETS_PER_WORKER = 20_000
 
 
 def worker_count() -> int:
@@ -184,21 +189,6 @@ def _colex_unrank(rank: int, k: int) -> list[int]:
     return combo
 
 
-def _colex_advance(combo: list[int]) -> int:
-    """Step to the successor combination in colexicographic order.
-
-    Returns the highest position that changed; the positions below it are
-    reset to their minimum, and those above it keep their values.
-    """
-    i = 0
-    while i < len(combo) - 1 and combo[i] + 1 == combo[i + 1]:
-        i += 1
-    combo[i] += 1
-    for j in range(i):
-        combo[j] = j
-    return i
-
-
 def partition_work(total: int, shards: int) -> list[tuple[int, int]]:
     """Split [0, total) into `shards` contiguous (start, count) ranges.
 
@@ -227,58 +217,90 @@ class _ShardResult:
 
 def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
     space, start, count = args
-    h, n = space.h, space.choose_k
+    h, k = space.h, space.k
+    m1 = space.max_element + 1
     skip_imprimitive = space.gcd_reduce and space.regime == REGIME_POSITIVE
-    combo = _colex_unrank(start, n)
-    # layers[p]: rss layer tables of the pinned elements and combo[p:],
-    # folded largest first.  Only layers j >= h - p are exact: the p
-    # smaller elements still to come lift a sum by at most p layers.
-    # gcds[p]: gcd of the elements at positions p and up.  Free position
-    # v holds element v + 1.
-    layers: list[list[int]] = [[] for _ in range(n + 1)]
-    gcds = [0] * (n + 1)
-    top = n - 1  # highest position changed since the previous set
-    best: Optional[int] = None
+    # Level p holds the set's (p+1)-th smallest free element, which runs
+    # from p + 1 up to the element at level p + 1.  The zero regime's
+    # pinned 0 is the top level, k - 1: its one value leaves the levels
+    # below it the whole range up to max.  first[p] is level p's value in
+    # the shard's first set; only the first visit to a level starts there.
+    pinned = space.materialize(())
+    first = [v + 1 for v in _colex_unrank(start, space.choose_k)] + list(pinned)
+    # tables[p]: rss layer tables of the elements at levels p and up, folded
+    # top level first.  Only layers j >= h - p are exact: the p smaller
+    # elements still to come lift a sum by at most p layers.  The offset
+    # h * max keeps every sum inside the table, so a right shift never
+    # drops a set bit.
+    tables: list[list[int]] = [[] for _ in range(k)]
+    tables.append([1 << (h * (m1 - 1))] + [0] * h)
+    # The walk keeps its own stack rather than recursing: SPACE_CAP admits
+    # k in the thousands (k = max), past Python's recursion limit.
+    vals = [0] * k  # the current element at each level >= 2
+    levels: list = [None] * k  # the values each open level has still to visit
+    levels[k - 1] = iter(pinned or range(first[k - 1], m1))
+    left = count
+    best = 2 * h * m1  # wider than any table, so the first set undercuts it
     n_best = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
-    for idx in range(count):
-        if top == n - 1:
-            # Offset h * max A: no sum of at most h elements leaves the
-            # table, so a right shift never drops a set bit.
-            base = [0] * (h + 1)
-            base[0] = 1 << (h * (combo[-1] + 1))
-            for a in space.materialize(()):
-                fold_restricted(base, a, True)
-            layers[n] = base
-        for p in range(top, 0, -1):
-            a = combo[p] + 1
-            layer = layers[p + 1][:]
+    p = k - 1
+    while p < k:
+        if p > 1:
+            # Fold level p's next element once into a copy of the tables
+            # above it, and open the level below.
+            a = next(levels[p], None)
+            if a is None:
+                p += 1
+                continue
+            vals[p] = a
+            layer = tables[p + 1][:]
             fold_restricted(layer, a, True, max(1, h - p))
-            layers[p] = layer
-            gcds[p] = math.gcd(a, gcds[p + 1])
-        a = combo[0] + 1
-        if not (skip_imprimitive and math.gcd(a, gcds[1]) > 1):
-            # fold_restricted's step for the smallest element, top layer only.
-            last = layers[1]
-            below = last[h - 1]
-            card = (last[h] | below << a | below >> a).bit_count()
-            if best is None or card <= best:
-                elems = space.materialize(tuple(combo))
-                name = class_name(classify_structure(IntegerSet(elems)))
-                if best is None or card < best:
-                    best = card
-                    n_best = 1
-                    minimizers = [elems]
-                    classes = {name: 1}
-                else:
-                    n_best += 1
-                    if len(minimizers) < MINIMIZER_CAP:
-                        minimizers.append(elems)
-                    classes[name] = classes.get(name, 0) + 1
-        if idx + 1 < count:
-            top = _colex_advance(combo)
-    return _ShardResult(best, n_best, tuple(minimizers), classes)
+            tables[p] = layer
+            p -= 1
+            levels[p] = iter(range(first[p], a or m1))
+            first[p] = p + 1
+            continue
+        # Levels 1 and 0, fused.  After the fold of the second-smallest
+        # element a1 the smallest one needs only two ints: the top layer
+        # and the one below it.
+        layer = tables[2]
+        t, u = layer[h], layer[h - 1]
+        v = layer[h - 2] if h > 1 else 0
+        lo = first[0]
+        first[0] = 1
+        for a1 in levels[1]:
+            top = t | u << a1 | u >> a1
+            below = u | v << a1 | v >> a1
+            end = a1 or m1
+            if end - lo > left:
+                end = lo + left
+            for a in range(lo, end):
+                card = (top | below << a | below >> a).bit_count()
+                if card <= best:
+                    # Few sets tie or undercut, so the gcd filter runs here.
+                    elems = tuple(sorted([a, a1, *vals[2:]]))
+                    if skip_imprimitive and math.gcd(*elems) > 1:
+                        continue
+                    name = class_name(classify_structure(IntegerSet(elems)))
+                    if card < best:
+                        best = card
+                        n_best = 1
+                        minimizers = [elems]
+                        classes = {name: 1}
+                    else:
+                        n_best += 1
+                        if len(minimizers) < MINIMIZER_CAP:
+                            minimizers.append(elems)
+                        classes[name] = classes.get(name, 0) + 1
+            left -= end - lo
+            if not left:
+                break
+            lo = 1
+        if not left:
+            break
+        p = 2
+    return _ShardResult(best if n_best else None, n_best, tuple(minimizers), classes)
 
 
 @dataclass(frozen=True)

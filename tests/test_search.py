@@ -13,8 +13,8 @@ from sumsetlab.search import (
     MINIMIZER_CAP,
     SETS_PER_WORKER,
     SearchSpace,
-    _colex_advance,
     _colex_unrank,
+    _scan_shard,
     minimize,
     partition_work,
     worker_count,
@@ -86,14 +86,44 @@ class TestColexOrder:
         for rank, combo in enumerate(combos):
             assert tuple(_colex_unrank(rank, 3)) == combo
 
-    def test_advance_matches_unrank(self):
-        combo = _colex_unrank(0, 4)
-        for rank in range(math.comb(10, 4) - 1):
-            before = combo[:]
-            top = _colex_advance(combo)
-            assert combo == _colex_unrank(rank + 1, 4)
-            # The returned index is the highest position that changed.
-            assert max(i for i in range(4) if combo[i] != before[i]) == top
+    def test_split_at_every_rank_matches_one_shard(self):
+        # A shard resumes from the unranked start at every level, so any
+        # cut of the colex order must merge back to the one-shard result.
+        spaces = [
+            SearchSpace(k, h, max_element, regime, gcd_reduce, allow_any_fold=True)
+            for k, h, max_element, regime in (
+                (2, 2, 200, "zero"),  # one free element
+                (2, 1, 20, "positive"),  # two
+                (3, 2, 20, "zero"),
+                (3, 2, 11, "positive"),  # three
+                (4, 3, 11, "zero"),
+                (4, 3, 10, "positive"),  # four
+                (5, 3, 10, "zero"),
+            )
+            for gcd_reduce in (True, False)
+        ]
+        for space in spaces:
+            total = space.total_sets
+            assert 150 <= total <= 210, (space, total)
+            whole = _scan_shard((space, 0, total))
+            expected = (
+                whole.minimum,
+                whole.minimizer_count,
+                whole.minimizers,
+                whole.classes,
+            )
+            assert expected == brute_report(space), space
+            for s in range(1, total):
+                head = _scan_shard((space, 0, s))
+                tail = _scan_shard((space, s, total - s))
+                parts = [r for r in (head, tail) if r.minimum == whole.minimum]
+                got = (
+                    min(r.minimum for r in (head, tail) if r.minimum is not None),
+                    sum(r.minimizer_count for r in parts),
+                    tuple(m for r in parts for m in r.minimizers)[:MINIMIZER_CAP],
+                    dict(sum((Counter(r.classes) for r in parts), Counter())),
+                )
+                assert got == expected, (space, s)
 
     def test_colex_is_rank_stable_across_max_element(self):
         # Colex rank of a combo does not depend on the universe size; this is
@@ -291,8 +321,8 @@ class TestDeterminism:
 
 class TestPoolSizing:
     def test_large_space_starts_a_pool(self, monkeypatch):
-        # 17,550 sets: two workers' worth, so shards >= 2 start a pool.
-        space = SearchSpace(4, 3, 27)
+        # 40,920 sets: two workers' worth, so shards >= 2 start a pool.
+        space = SearchSpace(4, 3, 33)
         assert space.total_sets // SETS_PER_WORKER == 2
         pools = []
         real = search.ProcessPoolExecutor
