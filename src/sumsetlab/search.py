@@ -30,6 +30,23 @@ exactly its count of sets.  Tables are offset by h * max, so a right shift
 never drops a set bit.  The gcd filter, an IntegerSet and a classification
 cost something only for a set that ties or undercuts the shard's running
 minimum.
+
+The walk is a branch and bound.  Once the elements from the largest down
+to level p are folded, the tables hold the exact layers L_j(B), j >= h - p,
+of that suffix B.  The p elements still to come are distinct positive
+integers outside B, so every completion A has h^_+-(A) containing X + T for
+X = L_{h-1}(B), T = {+-x_i} (2p values), and for X = L_{h-2}(B), T = {+-s}
+with s the sum of two of them.  Since |X + T| >= |X| + |T| - 1 for finite
+integer sets, each completion counts at least |L_h(B)|, |L_{h-1}(B)| + 2p - 1
+and |L_{h-2}(B)| + 1, the last two only when their layer is non-empty.  A
+subtree whose floor is above the shard's running minimum is skipped whole,
+and its size is taken off the shard's count.  The prune is strict, so every
+tie is still visited, counted and classified, and the report does not
+change.  Shard 0's first set is the space's first colex set, {1..k} or
+{0..k-1}; every later shard starts its running minimum at that set's count,
+which the space's minimum can only tie or undercut.  The seed always comes
+from a real set of the space, never from the catalogue bound the search
+tests.
 """
 
 from __future__ import annotations
@@ -52,18 +69,20 @@ REGIME_ZERO = "zero"
 OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 
 SPACE_CAP = 10**9
+# Most bits a shard's layer tables may hold (256 MiB); see SearchSpace.table_bits.
+TABLE_BITS_CAP = 2**31
 MINIMIZER_CAP = 64
 
 # Fewest sets worth a pool worker.  Measured with minimize at shards=2,
 # serial and 2-worker runs alternating, median of 15 (Python 3.11, 2 CPUs,
-# fork): the serial scan costs 0.6-1.8 us per set, and a 2-worker pool adds
-# 15-20 ms of start-up, so pooling loses below about 30k sets (3,003:
-# 4.5 ms serial, 18.5 ms pooled; 18,564: 18.7 vs 23.8 ms), breaks even
-# between 30k and 55k, later the cheaper a set (31,824 sets at k=7: 38.0
-# vs 35.5 ms; 38,760 at k=6: 33.5 vs 37.0 ms; 42,504 at k=5: 27.8 vs
-# 34.4 ms; 53,130 at k=5: 33.4 vs 32.8 ms), and wins from there (50,388:
-# 70.9 vs 55.1 ms; 77,520: 88.7 vs 75.9 ms).
-SETS_PER_WORKER = 20_000
+# fork): the pruned serial scan costs 0.14-0.7 us per set, depending on how
+# much it prunes, and a 2-worker pool adds 10-15 ms of start-up, so pooling
+# loses below about 50k sets (40,920 sets at k=4: 11.4 ms serial, 20.3 ms
+# pooled; 54,264 at k=6: 15.1 vs 25.0 ms), breaks even between 50k and 75k,
+# later the more a space prunes (50,388 at k=7 h=5: 30.0 vs 28.9 ms; 65,780
+# at k=5 h=3: 9.4 vs 14.2 ms; 66,045 at k=4: 26.8 vs 23.4 ms), and wins from
+# there (74,613 at k=6: 33.6 vs 28.5 ms; 170,544 at k=7: 65.0 vs 51.0 ms).
+SETS_PER_WORKER = 30_000
 
 
 def worker_count() -> int:
@@ -109,6 +128,11 @@ class SearchSpace:
                 f"stated hypotheses need 3 <= h <= k-1 = {self.k - 1}, got "
                 f"h = {self.h}; pass --allow-any-fold to search outside them"
             )
+        if self.table_bits > TABLE_BITS_CAP:
+            raise SpaceTooLarge(
+                f"search tables need about {self.table_bits} bits, over the cap "
+                f"{TABLE_BITS_CAP}"
+            )
         if self.total_sets > SPACE_CAP:
             raise SpaceTooLarge(
                 f"space has {self.total_sets} sets, over the cap {SPACE_CAP}"
@@ -120,6 +144,12 @@ class SearchSpace:
     def choose_k(self) -> int:
         """Free positions per set: k, or k-1 once 0 is pinned."""
         return self.k - 1 if self.regime == REGIME_ZERO else self.k
+
+    @property
+    def table_bits(self) -> int:
+        """Bits a shard's walk holds: h + 1 layer tables, each 2 * h * max + 1
+        bits wide, for each of the k levels."""
+        return self.k * (self.h + 1) * (2 * self.h * self.max_element + 1)
 
     @property
     def total_sets(self) -> int:
@@ -240,7 +270,14 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
     levels: list = [None] * k  # the values each open level has still to visit
     levels[k - 1] = iter(pinned or range(first[k - 1], m1))
     left = count
+    # Shard 0 meets the space's first set in its walk; a later shard starts
+    # its minimum at that set's count.
     best = 2 * h * m1  # wider than any table, so the first set undercuts it
+    if start:
+        seed = tables[k][:]
+        for a in space.materialize(tuple(range(space.choose_k))):
+            fold_restricted(seed, a, True)
+        best = seed[h].bit_count()
     n_best = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
@@ -257,6 +294,27 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
             layer = tables[p + 1][:]
             fold_restricted(layer, a, True, max(1, h - p))
             tables[p] = layer
+            # The p elements still to come add at least 2p - 1 sums to the
+            # exact layer h - 1 and one to layer h - 2 (see the module
+            # docstring).  Ties are kept, so only a floor above best skips
+            # the subtree: every p-set below a, less the part before the
+            # shard's resume point if the shard starts inside it.
+            mid = layer[h - 1]
+            low = layer[h - 2] if h > 1 else 0
+            if (
+                layer[h].bit_count() > best
+                or mid and mid.bit_count() + 2 * p - 1 > best
+                or low and low.bit_count() + 1 > best
+            ):
+                skipped = math.comb((a or m1) - 1, p)
+                # first[p - 1] == p leaves every level below it fresh too.
+                if first[p - 1] > p:
+                    skipped -= sum(math.comb(first[i] - 1, i + 1) for i in range(p))
+                    first[:p] = range(1, p + 1)
+                if skipped >= left:
+                    break
+                left -= skipped
+                continue
             p -= 1
             levels[p] = iter(range(first[p], a or m1))
             first[p] = p + 1
@@ -275,24 +333,26 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
             end = a1 or m1
             if end - lo > left:
                 end = lo + left
-            for a in range(lo, end):
-                card = (top | below << a | below >> a).bit_count()
-                if card <= best:
-                    # Few sets tie or undercut, so the gcd filter runs here.
-                    elems = tuple(sorted([a, a1, *vals[2:]]))
-                    if skip_imprimitive and math.gcd(*elems) > 1:
-                        continue
-                    name = class_name(classify_structure(IntegerSet(elems)))
-                    if card < best:
-                        best = card
-                        n_best = 1
-                        minimizers = [elems]
-                        classes = {name: 1}
-                    else:
-                        n_best += 1
-                        if len(minimizers) < MINIMIZER_CAP:
-                            minimizers.append(elems)
-                        classes[name] = classes.get(name, 0) + 1
+            # Each set of the range counts at least |top| and |below| + 1.
+            if top.bit_count() <= best and below.bit_count() < best:
+                for a in range(lo, end):
+                    card = (top | below << a | below >> a).bit_count()
+                    if card <= best:
+                        # Few sets tie or undercut, so the gcd filter runs here.
+                        elems = tuple(sorted([a, a1, *vals[2:]]))
+                        if skip_imprimitive and math.gcd(*elems) > 1:
+                            continue
+                        name = class_name(classify_structure(IntegerSet(elems)))
+                        if card < best:
+                            best = card
+                            n_best = 1
+                            minimizers = [elems]
+                            classes = {name: 1}
+                        else:
+                            n_best += 1
+                            if len(minimizers) < MINIMIZER_CAP:
+                                minimizers.append(elems)
+                            classes[name] = classes.get(name, 0) + 1
             left -= end - lo
             if not left:
                 break

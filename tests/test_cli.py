@@ -177,6 +177,12 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == "error: fold count 65 exceeds supported cap 64\n"
 
+    def test_table_memory_cap(self, capsys):
+        code, out, err = run(capsys, "search", "--k", "60000", "--h", "3",
+                             "--max", "60000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: search tables need about")
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_rejects_fewer_than_one_worker(self, capsys, workers):
         code, out, err = run(capsys, "search", "--k", "4", "--h", "3", "--max", "9",

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from sumsetlab import search
 from sumsetlab.search import (
     MINIMIZER_CAP,
     SETS_PER_WORKER,
+    TABLE_BITS_CAP,
     SearchSpace,
     _colex_unrank,
     _scan_shard,
@@ -99,6 +101,9 @@ class TestColexOrder:
                 (4, 3, 11, "zero"),
                 (4, 3, 10, "positive"),  # four
                 (5, 3, 10, "zero"),
+                # These two prune subtrees on paths that resume mid-shard.
+                (8, 5, 11, "positive"),
+                (7, 4, 10, "zero"),
             )
             for gcd_reduce in (True, False)
         ]
@@ -176,6 +181,17 @@ class TestSearchSpaceValidation:
         with pytest.raises(SpaceTooLarge):
             SearchSpace(10, 3, 200, allow_any_fold=True)
 
+    def test_table_memory_cap(self):
+        # One set, but k levels of tables 2 * h * max bits wide: about
+        # 10 GiB, refused before anything is allocated.
+        t0 = time.perf_counter()
+        with pytest.raises(SpaceTooLarge):
+            SearchSpace(60000, 3, 60000)
+        assert time.perf_counter() - t0 < 0.05
+        space = SearchSpace(4000, 3, 4000)
+        assert space.table_bits <= TABLE_BITS_CAP
+        assert minimize(space).minimizers == (tuple(range(1, 4001)),)
+
     def test_zero_regime_population(self):
         space = SearchSpace(5, 3, 9, regime="zero")
         assert space.choose_k == 4
@@ -225,13 +241,19 @@ class TestMinimize:
                 (4, 4, 8, "zero"),
                 (2, 1, 7, "zero"),  # one free position
                 (2, 2, 7, "zero"),
+                (8, 5, 11, "positive"),  # subtrees pruned
+                (7, 4, 10, "zero"),
+                # A second minimizer, {0, 2, ..., 12}, two thirds of the way
+                # through the colex order: a pruned subtree or a resumed
+                # shard that loses track of its sets misses it.
+                (7, 2, 12, "zero"),
             )
             for gcd_reduce in (True, False)
         ]
         for space in spaces:
             expected = brute_report(space)
-            # Seven shards start partway through shared suffixes.
-            for shards in (1, 7):
+            # Later shards start partway through shared suffixes.
+            for shards in (1, 3, 7, 16):
                 report = minimize(space, shards=shards)
                 got = (
                     report.minimum,
@@ -321,8 +343,8 @@ class TestDeterminism:
 
 class TestPoolSizing:
     def test_large_space_starts_a_pool(self, monkeypatch):
-        # 40,920 sets: two workers' worth, so shards >= 2 start a pool.
-        space = SearchSpace(4, 3, 33)
+        # 66,045 sets: two workers' worth, so shards >= 2 start a pool.
+        space = SearchSpace(4, 3, 37)
         assert space.total_sets // SETS_PER_WORKER == 2
         pools = []
         real = search.ProcessPoolExecutor
