@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest allowed element")
     p.add_argument("--regime", default="positive", choices=("positive", "zero"))
     p.add_argument("--shards", type=int, default=None,
-                   help="number of contiguous work ranges (default: worker count)")
+                   help="number of contiguous ranges of the largest element"
+                        " (default: worker count)")
     p.add_argument("--workers", type=int, default=None,
                    help="at most this many processes (default: SUMSETLAB_THREADS or all"
                         " cores); small spaces are scanned in-process")

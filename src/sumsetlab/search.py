@@ -7,29 +7,27 @@ restricted-signed h-fold cardinality, tallies the structure classes of all
 minimum-achieving sets, and compares against the regime's catalogue bound
 (RSS_direct, or the conjectured RSS_conj2 in the zero regime).  A report is
 falsified only when the bound's hypotheses hold and either the minimum
-undercuts the bound or some minimizer falls outside the predicted
-structure class.
+undercuts the bound or some minimizer fails the bound's equality
+prediction.
 
-Work is split into contiguous colexicographic rank ranges so any shard
-count (and any worker count) produces a byte-identical report: each shard
-returns its minimum, the exact count of minimum-achieving sets, the first
-64 of them in colex order, and a structure-class tally; shards merge in
-rank order.
+Work is split into contiguous ranges of the set's largest free element, so
+any shard count (and any worker count) produces a byte-identical report:
+each shard returns its minimum, the exact count of minimum-achieving sets,
+the first 64 of them in colex order, and a structure-class tally; shards
+merge in order of their ranges, which is colex order.
 
 A shard counts each set's sumset without building it.  Colex order is the
 order of nested loops with the largest element outermost, so a shard walks
-the space depth first.  The restricted-signed fold does not depend on
+its subtrees depth first.  The restricted-signed fold does not depend on
 element order, so each element from the largest down to the third-smallest
 is folded once into a copy of the tables above it.  The two smallest
 elements share one double loop: the second-smallest reduces the tables to
 two ints, and each smallest element then costs three shifts, two ors and a
 bit count.  The zero regime's pinned 0 sits above the largest free element,
-so every space, down to one free element, takes the same walk.  A shard
-starts at the unranked colex combination of its first rank and stops after
-exactly its count of sets.  Tables are offset by h * max, so a right shift
-never drops a set bit.  The gcd filter, an IntegerSet and a classification
-cost something only for a set that ties or undercuts the shard's running
-minimum.
+so every space, down to one free element, takes the same walk.  Tables are
+offset by h * max, so a right shift never drops a set bit.  The gcd filter,
+an IntegerSet and a classification cost something only for a set that ties
+or undercuts the shard's running minimum.
 
 The walk is a branch and bound.  Once the elements from the largest down
 to level p are folded, the tables hold the exact layers L_j(B), j >= h - p,
@@ -39,14 +37,12 @@ X = L_{h-1}(B), T = {+-x_i} (2p values), and for X = L_{h-2}(B), T = {+-s}
 with s the sum of two of them.  Since |X + T| >= |X| + |T| - 1 for finite
 integer sets, each completion counts at least |L_h(B)|, |L_{h-1}(B)| + 2p - 1
 and |L_{h-2}(B)| + 1, the last two only when their layer is non-empty.  A
-subtree whose floor is above the shard's running minimum is skipped whole,
-and its size is taken off the shard's count.  The prune is strict, so every
-tie is still visited, counted and classified, and the report does not
-change.  Shard 0's first set is the space's first colex set, {1..k} or
-{0..k-1}; every later shard starts its running minimum at that set's count,
-which the space's minimum can only tie or undercut.  The seed always comes
-from a real set of the space, never from the catalogue bound the search
-tests.
+subtree whose floor is above the shard's running minimum is skipped whole.
+The prune is strict, so every tie is still visited, counted and classified,
+and the report does not change.  Every shard starts its running minimum at
+the count of the space's first colex set, {1..k} or {0..k-1}, which the
+space's minimum can only tie or undercut: the seed always comes from a real
+set of the space, never from the catalogue bound the search tests.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ import json
 import math
 import os
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -181,10 +178,6 @@ class SearchSpace:
         return "theorem" if self.entry.status == "proved" else self.entry.status
 
     @property
-    def predicted_class(self) -> str:
-        return self.entry.prediction(self.h).family.__name__
-
-    @property
     def regime_label(self) -> str:
         if self.hypotheses_hold:
             return self.regime
@@ -198,43 +191,26 @@ class SearchSpace:
         return elems
 
 
-def _colex_unrank(rank: int, k: int) -> list[int]:
-    """The rank-th 0-based k-combination in colexicographic order."""
-    combo = [0] * k
-    r = rank
-    for i in range(k, 0, -1):
-        lo, hi = i - 1, i - 1
-        # Grow hi geometrically, then binary-search the largest v with
-        # comb(v, i) <= r.
-        while math.comb(hi + 1, i) <= r:
-            hi = 2 * hi + 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if math.comb(mid, i) <= r:
-                lo = mid
-            else:
-                hi = mid - 1
-        combo[i - 1] = lo
-        r -= math.comb(lo, i)
-    return combo
+def _shard_ranges(space: SearchSpace, shards: int) -> list[tuple[int, int]]:
+    """Split the largest free element's values, choose_k to max, into at most
+    `shards` contiguous (lo, hi) ranges of about equal set counts.
 
-
-def partition_work(total: int, shards: int) -> list[tuple[int, int]]:
-    """Split [0, total) into `shards` contiguous (start, count) ranges.
-
-    Counts differ by at most one, larger ranges first, so the split is a
-    pure function of (total, shards).
+    Share i ends at the last value t whose C(t, choose_k) sets with largest
+    element at most t fit in i * total / shards, so the split is a pure
+    function of (space, shards) and never holds more ranges than values.
     """
     if shards < 1:
         raise BadParams(f"need at least 1 shard, got {shards}")
-    base, extra = divmod(total, shards)
-    ranges = []
-    start = 0
-    for i in range(shards):
-        count = base + (1 if i < extra else 0)
-        ranges.append((start, count))
-        start += count
-    return ranges
+    n, top = space.choose_k, space.max_element
+    values = range(n, top + 1)
+    shards = min(shards, len(values))
+    total = space.total_sets
+    cuts = [n - 1]
+    for i in range(1, shards):
+        fits = bisect_right(values, i * total, key=lambda t: math.comb(t, n) * shards)
+        cuts.append(n - 1 + fits)
+    cuts.append(top)
+    return [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 @dataclass(frozen=True)
@@ -243,42 +219,39 @@ class _ShardResult:
     minimizer_count: int
     minimizers: tuple[tuple[int, ...], ...]
     classes: dict[str, int]
+    unpredicted: int  # minimizers the bound's equality prediction misses
 
 
-def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
-    space, start, count = args
+def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
+    """Scan every set whose largest free element lies in [lo, hi]."""
     h, k = space.h, space.k
-    m1 = space.max_element + 1
     skip_imprimitive = space.gcd_reduce and space.regime == REGIME_POSITIVE
+    prediction = space.entry.prediction(h)
     # Level p holds the set's (p+1)-th smallest free element, which runs
     # from p + 1 up to the element at level p + 1.  The zero regime's
-    # pinned 0 is the top level, k - 1: its one value leaves the levels
-    # below it the whole range up to max.  first[p] is level p's value in
-    # the shard's first set; only the first visit to a level starts there.
+    # pinned 0 is the top level, k - 1.  The level of the largest free
+    # element runs over the shard's [lo, hi]: it is the top level, or the
+    # one below the pinned 0, the only level whose parent element is 0.
     pinned = space.materialize(())
-    first = [v + 1 for v in _colex_unrank(start, space.choose_k)] + list(pinned)
     # tables[p]: rss layer tables of the elements at levels p and up, folded
     # top level first.  Only layers j >= h - p are exact: the p smaller
     # elements still to come lift a sum by at most p layers.  The offset
     # h * max keeps every sum inside the table, so a right shift never
     # drops a set bit.
     tables: list[list[int]] = [[] for _ in range(k)]
-    tables.append([1 << (h * (m1 - 1))] + [0] * h)
+    tables.append([1 << h * space.max_element] + [0] * h)
+    # Every shard starts its minimum at the count of the space's first set.
+    seed = tables[k][:]
+    for a in space.materialize(tuple(range(space.choose_k))):
+        fold_restricted(seed, a, True)
+    best = seed[h].bit_count()
     # The walk keeps its own stack rather than recursing: SPACE_CAP admits
     # k in the thousands (k = max), past Python's recursion limit.
     vals = [0] * k  # the current element at each level >= 2
     levels: list = [None] * k  # the values each open level has still to visit
-    levels[k - 1] = iter(pinned or range(first[k - 1], m1))
-    left = count
-    # Shard 0 meets the space's first set in its walk; a later shard starts
-    # its minimum at that set's count.
-    best = 2 * h * m1  # wider than any table, so the first set undercuts it
-    if start:
-        seed = tables[k][:]
-        for a in space.materialize(tuple(range(space.choose_k))):
-            fold_restricted(seed, a, True)
-        best = seed[h].bit_count()
+    levels[k - 1] = iter(pinned or range(lo, hi + 1))
     n_best = 0
+    unpredicted = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
     p = k - 1
@@ -297,8 +270,7 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
             # The p elements still to come add at least 2p - 1 sums to the
             # exact layer h - 1 and one to layer h - 2 (see the module
             # docstring).  Ties are kept, so only a floor above best skips
-            # the subtree: every p-set below a, less the part before the
-            # shard's resume point if the shard starts inside it.
+            # the subtree.
             mid = layer[h - 1]
             low = layer[h - 2] if h > 1 else 0
             if (
@@ -306,18 +278,9 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
                 or mid and mid.bit_count() + 2 * p - 1 > best
                 or low and low.bit_count() + 1 > best
             ):
-                skipped = math.comb((a or m1) - 1, p)
-                # first[p - 1] == p leaves every level below it fresh too.
-                if first[p - 1] > p:
-                    skipped -= sum(math.comb(first[i] - 1, i + 1) for i in range(p))
-                    first[:p] = range(1, p + 1)
-                if skipped >= left:
-                    break
-                left -= skipped
                 continue
             p -= 1
-            levels[p] = iter(range(first[p], a or m1))
-            first[p] = p + 1
+            levels[p] = iter(range(p + 1, a) if a else range(lo, hi + 1))
             continue
         # Levels 1 and 0, fused.  After the fold of the second-smallest
         # element a1 the smallest one needs only two ints: the top layer
@@ -325,42 +288,35 @@ def _scan_shard(args: tuple[SearchSpace, int, int]) -> _ShardResult:
         layer = tables[2]
         t, u = layer[h], layer[h - 1]
         v = layer[h - 2] if h > 1 else 0
-        lo = first[0]
-        first[0] = 1
         for a1 in levels[1]:
             top = t | u << a1 | u >> a1
             below = u | v << a1 | v >> a1
-            end = a1 or m1
-            if end - lo > left:
-                end = lo + left
             # Each set of the range counts at least |top| and |below| + 1.
-            if top.bit_count() <= best and below.bit_count() < best:
-                for a in range(lo, end):
-                    card = (top | below << a | below >> a).bit_count()
-                    if card <= best:
-                        # Few sets tie or undercut, so the gcd filter runs here.
-                        elems = tuple(sorted([a, a1, *vals[2:]]))
-                        if skip_imprimitive and math.gcd(*elems) > 1:
-                            continue
-                        name = class_name(classify_structure(IntegerSet(elems)))
-                        if card < best:
-                            best = card
-                            n_best = 1
-                            minimizers = [elems]
-                            classes = {name: 1}
-                        else:
-                            n_best += 1
-                            if len(minimizers) < MINIMIZER_CAP:
-                                minimizers.append(elems)
-                            classes[name] = classes.get(name, 0) + 1
-            left -= end - lo
-            if not left:
-                break
-            lo = 1
-        if not left:
-            break
+            if top.bit_count() > best or below.bit_count() >= best:
+                continue
+            for a in range(1, a1) if a1 else range(lo, hi + 1):
+                card = (top | below << a | below >> a).bit_count()
+                if card <= best:
+                    # Few sets tie or undercut, so the gcd filter runs here.
+                    elems = tuple(sorted([a, a1, *vals[2:]]))
+                    if skip_imprimitive and math.gcd(*elems) > 1:
+                        continue
+                    name = class_name(classify_structure(IntegerSet(elems)))
+                    if card < best:
+                        best = card
+                        n_best = 0
+                        unpredicted = 0
+                        minimizers = []
+                        classes = {}
+                    n_best += 1
+                    if len(minimizers) < MINIMIZER_CAP:
+                        minimizers.append(elems)
+                    classes[name] = classes.get(name, 0) + 1
+                    unpredicted += not prediction.holds(elems)
         p = 2
-    return _ShardResult(best if n_best else None, n_best, tuple(minimizers), classes)
+    return _ShardResult(
+        best if n_best else None, n_best, tuple(minimizers), classes, unpredicted
+    )
 
 
 @dataclass(frozen=True)
@@ -428,38 +384,39 @@ def minimize(
 
     The report is a pure function of the space: shard and worker counts
     change only how the scan is split, never its outcome.  `workers` is an
-    upper bound: a pool gets at most one worker per shard and per
-    SETS_PER_WORKER sets, and a space too small for two is scanned
-    in-process.
+    upper bound: a pool gets at most one worker per shard, per
+    SETS_PER_WORKER sets and per CPU, and a space too small for two is
+    scanned in-process.
     """
     if workers is not None and workers < 1:
         raise BadParams(f"need at least 1 worker, got {workers}")
     t0 = time.perf_counter()
-    total = space.total_sets
-    # Shards past the set count would be empty, so the cap leaves every
-    # non-empty range, and with it the report, as it was.
-    tasks = [
-        (space, start, count)
-        for start, count in partition_work(total, min(shards, total))
-    ]
-    pool_size = min(workers or 1, len(tasks), total // SETS_PER_WORKER)
+    ranges = _shard_ranges(space, shards)
+    # The fork start method starts every worker at the first submit, so the
+    # pool never asks for more processes than there are CPUs.
+    pool_size = min(
+        workers or 1, len(ranges), space.total_sets // SETS_PER_WORKER, os.cpu_count() or 1
+    )
+    args = ([space] * len(ranges), *zip(*ranges))
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_scan_shard, tasks))
+            results = list(pool.map(_scan_shard, *args))
     else:
-        results = [_scan_shard(t) for t in tasks]
+        results = list(map(_scan_shard, *args))
 
     candidates = [r.minimum for r in results if r.minimum is not None]
     if not candidates:
         raise BadParams("search population is empty")
     minimum = min(candidates)
     minimizer_count = 0
+    unpredicted = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
     for r in results:
         if r.minimum != minimum:
             continue
         minimizer_count += r.minimizer_count
+        unpredicted += r.unpredicted
         for m in r.minimizers:
             if len(minimizers) < MINIMIZER_CAP:
                 minimizers.append(m)
@@ -467,11 +424,7 @@ def minimize(
             classes[name] = classes.get(name, 0) + cnt
 
     falsified = space.hypotheses_hold and (
-        minimum < space.bound
-        or (
-            minimum == space.bound
-            and any(name != space.predicted_class for name in classes)
-        )
+        minimum < space.bound or (minimum == space.bound and unpredicted > 0)
     )
     return SearchReport(
         k=space.k,

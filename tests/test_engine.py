@@ -126,6 +126,20 @@ class TestDualRoutes:
                     compute_dp(A, variant, h).values
                 ), (elements, variant, h)
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_routes_agree_on_wide_sets(self, variant):
+        # Tables up to 30,000 bits wide: the values fall in several 4096-bit
+        # decoding chunks, and some sit next to a chunk boundary.
+        rng = random.Random(4096)
+        cases = [(1, 2047, 2048), (-4096, -1, 4095)]
+        cases += [tuple(sorted(rng.sample(range(-5000, 5001), 4))) for _ in range(20)]
+        for elements in cases:
+            A = IntegerSet(elements)
+            for h in range(1, 4):
+                assert compute_oracle(A, variant, h).values == (
+                    compute_dp(A, variant, h).values
+                ), (elements, variant, h)
+
     def test_routes_agree_with_zero_element(self):
         A = IntegerSet((-4, 0, 3))
         for variant in ALL_VARIANTS:

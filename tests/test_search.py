@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from sumsetlab.bounds import Prediction
 from sumsetlab.engine import SumsetVariant, compute_dp
 from sumsetlab.errors import BadParams, FoldTooLarge, SpaceTooLarge
 from sumsetlab.intset import IntegerSet, class_name, classify_structure
@@ -15,10 +16,9 @@ from sumsetlab.search import (
     SETS_PER_WORKER,
     TABLE_BITS_CAP,
     SearchSpace,
-    _colex_unrank,
     _scan_shard,
+    _shard_ranges,
     minimize,
-    partition_work,
     worker_count,
 )
 
@@ -53,44 +53,57 @@ def brute_report(space):
     return minimum, len(tied), tuple(tied[:MINIMIZER_CAP]), dict(classes)
 
 
+def one_free(max_element):
+    """A space whose largest free element is its only one: C(t, 1) = t sets
+    have a largest element <= t."""
+    return SearchSpace(2, 2, max_element, "zero", allow_any_fold=True)
+
+
 class TestPartitionWork:
     def test_even_split_with_remainder(self):
-        assert partition_work(210, 4) == [(0, 53), (53, 53), (106, 52), (158, 52)]
+        # Shares of 52.5, 105 and 157.5 sets end at 52, 105 and 157.
+        assert _shard_ranges(one_free(210), 4) == [
+            (1, 52), (53, 105), (106, 157), (158, 210),
+        ]
+        # C(t, 3) <= i * 120 / 3 cuts at t = 7 (35 sets) and t = 8 (56).
+        assert _shard_ranges(SearchSpace(3, 2, 10, allow_any_fold=True), 3) == [
+            (3, 7), (8, 8), (9, 10),
+        ]
 
     def test_single_shard(self):
-        assert partition_work(10, 1) == [(0, 10)]
+        assert _shard_ranges(one_free(10), 1) == [(1, 10)]
+        assert _shard_ranges(SearchSpace(5, 3, 9, regime="zero"), 1) == [(4, 9)]
 
     def test_more_shards_than_work(self):
-        ranges = partition_work(3, 5)
-        assert ranges == [(0, 1), (1, 1), (2, 1), (3, 0), (3, 0)]
-        assert sum(c for _, c in ranges) == 3
+        # No more ranges than values of the largest element, none empty.
+        assert _shard_ranges(one_free(3), 5) == [(1, 1), (2, 2), (3, 3)]
+        assert _shard_ranges(SearchSpace(4, 3, 4), 10**9) == [(4, 4)]
 
     def test_ranges_are_contiguous(self):
-        for total, shards in [(0, 3), (1, 1), (100, 7), (99, 100)]:
-            ranges = partition_work(total, shards)
-            assert len(ranges) == shards
-            pos = 0
-            for start, count in ranges:
-                assert start == pos and count >= 0
-                pos += count
-            assert pos == total
+        for space in (
+            one_free(1),
+            one_free(99),
+            SearchSpace(4, 3, 11),
+            SearchSpace(5, 3, 12, regime="zero"),
+            SearchSpace(8, 5, 24),
+        ):
+            values = list(range(space.choose_k, space.max_element + 1))
+            for shards in (1, 2, 3, 7, 100, 10**9):
+                ranges = _shard_ranges(space, shards)
+                assert len(ranges) <= min(shards, len(values))
+                covered = [v for lo, hi in ranges for v in range(lo, hi + 1)]
+                assert covered == values, (space, shards)
 
     def test_rejects_zero_shards(self):
-        with pytest.raises(BadParams):
-            partition_work(10, 0)
+        for shards in (0, -1):
+            with pytest.raises(BadParams):
+                _shard_ranges(one_free(10), shards)
 
 
-class TestColexOrder:
-    def test_unrank_matches_reference_order(self):
-        combos = sorted(
-            itertools.combinations(range(9), 3), key=lambda c: tuple(reversed(c))
-        )
-        for rank, combo in enumerate(combos):
-            assert tuple(_colex_unrank(rank, 3)) == combo
-
-    def test_split_at_every_rank_matches_one_shard(self):
-        # A shard resumes from the unranked start at every level, so any
-        # cut of the colex order must merge back to the one-shard result.
+class TestShardSplit:
+    def test_split_at_every_largest_element_matches_one_shard(self):
+        # Any cut between two values of the largest element must merge back
+        # to the one-shard result.
         spaces = [
             SearchSpace(k, h, max_element, regime, gcd_reduce, allow_any_fold=True)
             for k, h, max_element, regime in (
@@ -101,16 +114,16 @@ class TestColexOrder:
                 (4, 3, 11, "zero"),
                 (4, 3, 10, "positive"),  # four
                 (5, 3, 10, "zero"),
-                # These two prune subtrees on paths that resume mid-shard.
+                # These two prune subtrees on both sides of every cut.
                 (8, 5, 11, "positive"),
                 (7, 4, 10, "zero"),
             )
             for gcd_reduce in (True, False)
         ]
         for space in spaces:
-            total = space.total_sets
-            assert 150 <= total <= 210, (space, total)
-            whole = _scan_shard((space, 0, total))
+            first, last = space.choose_k, space.max_element
+            assert 150 <= space.total_sets <= 210, space
+            whole = _scan_shard(space, first, last)
             expected = (
                 whole.minimum,
                 whole.minimizer_count,
@@ -118,9 +131,9 @@ class TestColexOrder:
                 whole.classes,
             )
             assert expected == brute_report(space), space
-            for s in range(1, total):
-                head = _scan_shard((space, 0, s))
-                tail = _scan_shard((space, s, total - s))
+            for c in range(first, last):
+                head = _scan_shard(space, first, c)
+                tail = _scan_shard(space, c + 1, last)
                 parts = [r for r in (head, tail) if r.minimum == whole.minimum]
                 got = (
                     min(r.minimum for r in (head, tail) if r.minimum is not None),
@@ -128,15 +141,7 @@ class TestColexOrder:
                     tuple(m for r in parts for m in r.minimizers)[:MINIMIZER_CAP],
                     dict(sum((Counter(r.classes) for r in parts), Counter())),
                 )
-                assert got == expected, (space, s)
-
-    def test_colex_is_rank_stable_across_max_element(self):
-        # Colex rank of a combo does not depend on the universe size; this is
-        # what makes contiguous rank ranges meaningful.
-        assert _colex_unrank(5, 2) == [2, 3]
-        assert tuple(_colex_unrank(5, 2)) == sorted(
-            itertools.combinations(range(100), 2), key=lambda c: tuple(reversed(c))
-        )[5]
+                assert got == expected, (space, c)
 
 
 class TestWorkerCount:
@@ -210,12 +215,10 @@ class TestSearchSpaceValidation:
         pos = SearchSpace(4, 3, 9)
         assert pos.bound == 2 * 3 * 4 - 9 + 1 == 16
         assert pos.bound_status == "theorem"
-        assert pos.predicted_class == "DilatedOddProgression"
         assert pos.regime_label == "positive"
         zero = SearchSpace(5, 3, 9, regime="zero")
         assert zero.bound == 2 * 3 * 5 - 3 * 4 + 1 == 19
         assert zero.bound_status == "conjecture"
-        assert zero.predicted_class == "ArithmeticProgression"
         assert zero.regime_label == "zero"
 
 
@@ -295,6 +298,14 @@ class TestMinimize:
         assert report.regime == "positive/outside-stated-hypotheses"
         assert report.falsified is False
 
+    def test_falsified_reads_the_equality_prediction(self, monkeypatch):
+        # At the bound, a minimizer the catalogue's prediction misses
+        # falsifies the report.
+        monkeypatch.setattr(Prediction, "holds", lambda self, elements: False)
+        report = minimize(SearchSpace(4, 3, 9))
+        assert report.minimum == report.bound
+        assert report.falsified is True
+
     def test_rejects_fewer_than_one_worker(self):
         for workers in (0, -2):
             with pytest.raises(BadParams):
@@ -324,20 +335,23 @@ class TestDeterminism:
         assert space.total_sets < 200
         assert minimize(space, shards=200).to_json() == minimize(space).to_json()
 
-    def test_huge_shard_count_is_capped_at_the_set_count(self, monkeypatch):
+    def test_huge_shard_count_is_capped_at_the_value_count(self, monkeypatch):
         # One task per requested shard would exhaust memory long before
-        # the scan; the split must never ask for more shards than sets.
+        # the scan; the split never asks for more shards than values of
+        # the largest element.
         space = SearchSpace(4, 3, 7)
-        requested = []
+        scanned = []
+        real = search._scan_shard
 
-        def spy(total, shards):
-            requested.append(shards)
-            assert shards <= total, f"{shards} shards for {total} sets"
-            return partition_work(total, shards)
+        def spy(space, lo, hi):
+            scanned.append((lo, hi))
+            return real(space, lo, hi)
 
-        monkeypatch.setattr(search, "partition_work", spy)
+        monkeypatch.setattr(search, "_scan_shard", spy)
         report = minimize(space, shards=10**9, workers=2)
-        assert requested == [space.total_sets]
+        # Four values of the largest element; the first two share a range,
+        # as C(5, 4) = 5 sets fit in the first quarter of 35.
+        assert scanned == [(4, 5), (6, 6), (7, 7)]
         assert report.to_json() == minimize(space, shards=1).to_json()
 
 
@@ -354,11 +368,40 @@ class TestPoolSizing:
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         for shards in (1, 2, 7):
             serial = minimize(space, shards=shards, workers=1).to_json()
             assert minimize(space, shards=shards, workers=2).to_json() == serial
         # shards=1 leaves one task, which is scanned in-process.
         assert pools == [2, 2]
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # 170,544 sets are five workers' worth, but three CPUs get three.
+        space = SearchSpace(7, 5, 22)
+        assert space.total_sets // SETS_PER_WORKER == 5
+        pools = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        pooled = minimize(space, shards=8, workers=8).to_json()
+        assert pools == [3]
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert minimize(space, shards=8, workers=8).to_json() == pooled
+        assert pools == [3]  # an unknown CPU count scans in-process
+        assert minimize(space, shards=1, workers=1).to_json() == pooled
 
     def test_small_space_never_starts_a_pool(self, monkeypatch):
         space = SearchSpace(5, 4, 11)
