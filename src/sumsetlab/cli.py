@@ -10,6 +10,7 @@ JSON uses fixed key orders so parse-and-reserialize round-trips.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -18,7 +19,7 @@ from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, RegimeUnsupported, SumsetLabError
 from .intset import IntegerSet, subsums
 from .inverse import BOUND_VIOLATED, EQUALITY_UNEXPECTED, inverse_verdict
-from .search import SearchSpace, minimize, worker_count
+from .search import SearchSpace, minimize
 from .witness import ALL_LEMMAS, generate, ordering_guards_hold
 
 EXIT_OK = 0
@@ -26,6 +27,8 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 
 _COMPUTE_VARIANTS = ("plain", "restricted", "signed", "rss", "subsums")
+# argparse reads "--set -3,-1" as an option followed by nothing.
+_SET_HELP = "comma-separated integers; write a negative first element as --set=-3,-1"
 
 
 def parse_set_literal(text: str) -> IntegerSet:
@@ -169,9 +172,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         gcd_reduce=not args.no_gcd_reduce,
         allow_any_fold=args.allow_any_fold,
     )
-    workers = args.workers if args.workers is not None else worker_count()
-    shards = args.shards if args.shards is not None else max(1, workers)
-    report = minimize(space, shards=shards, workers=workers)
+    workers = args.workers if args.workers is not None else os.cpu_count() or 1
+    report = minimize(space, shards=workers, workers=workers)
     if args.format == "json":
         text = report.to_json()
     elif args.format == "csv":
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report to PATH instead of stdout")
 
     p = sub.add_parser("compute", help="compute one sumset or the subset sums")
-    p.add_argument("--set", required=True, help="comma-separated integers")
+    p.add_argument("--set", required=True, help=_SET_HELP)
     p.add_argument("--variant", default="rss", choices=_COMPUTE_VARIANTS)
     p.add_argument("--h", type=int, default=None, help="fold count")
     p.add_argument("--values", action="store_true",
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="check every applicable bound and the inverse prediction for one set",
     )
-    p.add_argument("--set", required=True, help="comma-separated integers")
+    p.add_argument("--set", required=True, help=_SET_HELP)
     p.add_argument("--h", type=int, required=True, help="fold count")
     add_common(p, "text|json")
     p.set_defaults(func=cmd_verify)
@@ -277,14 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True, help="fold count")
     p.add_argument("--max", type=int, required=True, help="largest allowed element")
     p.add_argument("--regime", default="positive", choices=("positive", "zero"))
-    p.add_argument("--shards", type=int, default=None,
-                   help="number of contiguous ranges of the largest element"
-                        " (default: worker count)")
     p.add_argument("--workers", type=int, default=None,
-                   help="at most this many processes (default: SUMSETLAB_THREADS or all"
-                        " cores); small spaces are scanned in-process")
+                   help="at most this many processes (default: all cores); small"
+                        " spaces are scanned in-process")
     p.add_argument("--no-gcd-reduce", action="store_true",
-                   help="also scan sets whose elements share a factor")
+                   help="also scan sets whose elements share a factor (positive regime only)")
     p.add_argument("--allow-any-fold", action="store_true",
                    help="permit h outside 3 <= h <= k-1")
     add_common(p, "text|json|csv")
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="generate and check one witness family")
     p.add_argument("--lemma", required=True, choices=ALL_LEMMAS)
-    p.add_argument("--set", required=True, help="comma-separated integers")
+    p.add_argument("--set", required=True, help=_SET_HELP)
     p.add_argument("--h", type=int, default=None, help="fold count")
     p.add_argument("--r", type=int, default=None,
                    help="1-based index of the odd-one-out element (parity-split)")

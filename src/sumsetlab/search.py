@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -80,20 +79,6 @@ MINIMIZER_CAP = 64
 # at k=5 h=3: 9.4 vs 14.2 ms; 66,045 at k=4: 26.8 vs 23.4 ms), and wins from
 # there (74,613 at k=6: 33.6 vs 28.5 ms; 170,544 at k=7: 65.0 vs 51.0 ms).
 SETS_PER_WORKER = 30_000
-
-
-def worker_count() -> int:
-    """Worker pool size: SUMSETLAB_THREADS overrides detected CPU count."""
-    env = os.environ.get("SUMSETLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise BadParams(f"SUMSETLAB_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise BadParams(f"SUMSETLAB_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -331,7 +316,6 @@ class SearchReport:
     minimizers: tuple[tuple[int, ...], ...]
     classes: dict[str, int]
     falsified: bool
-    elapsed: float  # seconds; excluded from every serialized form
 
     @property
     def slack(self) -> int:
@@ -390,7 +374,6 @@ def minimize(
     """
     if workers is not None and workers < 1:
         raise BadParams(f"need at least 1 worker, got {workers}")
-    t0 = time.perf_counter()
     ranges = _shard_ranges(space, shards)
     # The fork start method starts every worker at the first submit, so the
     # pool never asks for more processes than there are CPUs.
@@ -437,5 +420,4 @@ def minimize(
         minimizers=tuple(minimizers),
         classes=classes,
         falsified=falsified,
-        elapsed=time.perf_counter() - t0,
     )

@@ -1,4 +1,5 @@
-"""Shared random-instance generators for lemma hypotheses.
+"""Shared random-instance generators for lemma hypotheses, and a stand-in
+for the search's process pool.
 
 Each generator draws a set satisfying one witness lemma's preconditions,
 uniformly-ish over small element ranges, for the randomized suites.
@@ -8,7 +9,33 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from sumsetlab import search
 from sumsetlab.intset import IntegerSet
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make the search run its pool's tasks in-process; returns the list of
+    pool sizes the search asks for."""
+    pools = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcess)
+    return pools
 
 
 def _sample(rng: random.Random, population: range, k: int, pred, tries: int = 20000):

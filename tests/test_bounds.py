@@ -1,4 +1,7 @@
+import ast
 import json
+import operator
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +25,29 @@ def rss_reports(elements, h):
     return check_bounds(A, h, compute_dp(A, RSS, h))
 
 
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def evaluate_formula_text(text: str, k: int, h: int) -> Fraction:
+    """Exact value of a catalogue formula_text: integers, k, h, + - * / and
+    ^ with an integer exponent, nothing else."""
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return Fraction(node.value)
+        if isinstance(node, ast.Name) and node.id in ("k", "h"):
+            return Fraction(k if node.id == "k" else h)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](value(node.left), value(node.right))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant) and type(node.right.value) is int):
+            return value(node.left) ** node.right.value
+        raise AssertionError(f"unexpected {ast.dump(node)} in {text!r}")
+
+    return value(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
 class TestCatalogueShape:
     def test_size_and_ids_unique(self):
         cat = bound_catalogue()
@@ -33,6 +59,14 @@ class TestCatalogueShape:
             assert e.status in ("proved", "conjecture")
             assert e.variant in (R, RSS)
             assert e.formula_text and e.hypotheses_text and e.source
+
+    def test_formula_text_matches_formula(self):
+        for e in bound_catalogue():
+            for k in range(1, 15):
+                for h in range(1, k + 1):
+                    text_value = evaluate_formula_text(e.formula_text, k, h)
+                    assert text_value.denominator == 1, (e.id, k, h)
+                    assert text_value == e.formula(k, h), (e.id, k, h)
 
     def test_only_zero_conjecture_is_unproved(self):
         unproved = [e.id for e in bound_catalogue() if e.status == "conjecture"]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -41,6 +42,12 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--set", "1,3,5,7", "--variant", "rss", "--h", "3")
         assert code == 0
         assert out == "cardinality=16\n"
+
+    def test_negative_first_element_needs_the_equals_form(self, capsys):
+        code, out, _ = run(capsys, "compute", "--set=-3,-1", "--variant", "subsums",
+                           "--values")
+        assert code == 0
+        assert lines_of(out) == ["cardinality=4", "values=-4,-3,-1,0"]
 
     def test_subsums_reference(self, capsys):
         code, out, _ = run(capsys, "compute", "--set", "1,3,5", "--variant", "subsums", "--values")
@@ -134,12 +141,23 @@ class TestSearch:
         assert "falsified=false" in text
 
     def test_shards_do_not_change_output(self, capsys):
+        # Each worker gets one shard, so 8 workers split the space 8 ways.
         base = run(capsys, "search", "--k", "5", "--h", "4", "--max", "11",
-                   "--shards", "1", "--format", "json")
+                   "--workers", "1", "--format", "json")
         sharded = run(capsys, "search", "--k", "5", "--h", "4", "--max", "11",
-                      "--shards", "8", "--format", "json")
+                      "--workers", "8", "--format", "json")
         assert base[0] == sharded[0] == 0
         assert base[1] == sharded[1]
+
+    def test_default_workers_are_the_cpu_count(self, capsys, monkeypatch, in_process_pool):
+        # 170,544 sets are five workers' worth; without --workers, three
+        # CPUs give three workers and three shards.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        argv = ("search", "--k", "7", "--h", "5", "--max", "22", "--format", "json")
+        default = run(capsys, *argv)
+        assert in_process_pool == [3]
+        assert default == run(capsys, *argv, "--workers", "1")
+        assert default[0] == 0
 
     def test_zero_regime_is_conjecture_tagged(self, capsys):
         code, out, _ = run(capsys, "search", "--k", "5", "--h", "3", "--max", "9",
@@ -196,7 +214,7 @@ class TestSearch:
         fake = SearchReport(
             k=4, h=3, max_element=9, regime="positive", minimum=15, bound=16,
             minimizer_count=1, minimizers=((1, 2, 3, 4),),
-            classes={"Other": 1}, falsified=True, elapsed=0.1,
+            classes={"Other": 1}, falsified=True,
         )
         monkeypatch.setattr(cli, "minimize", lambda space, shards, workers: fake)
         code, out, _ = run(capsys, "search", "--k", "4", "--h", "3", "--max", "9")

@@ -19,7 +19,6 @@ from sumsetlab.search import (
     _scan_shard,
     _shard_ranges,
     minimize,
-    worker_count,
 )
 
 
@@ -142,20 +141,6 @@ class TestShardSplit:
                     dict(sum((Counter(r.classes) for r in parts), Counter())),
                 )
                 assert got == expected, (space, c)
-
-
-class TestWorkerCount:
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("SUMSETLAB_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("SUMSETLAB_THREADS", "zero")
-        with pytest.raises(BadParams):
-            worker_count()
-        monkeypatch.setenv("SUMSETLAB_THREADS", "0")
-        with pytest.raises(BadParams):
-            worker_count()
-        monkeypatch.delenv("SUMSETLAB_THREADS")
-        assert worker_count() >= 1
 
 
 class TestSearchSpaceValidation:
@@ -324,7 +309,7 @@ class TestDeterminism:
         for shards in (2, 7, 16):
             assert minimize(space, shards=shards).to_json() == baseline
 
-    def test_worker_count_never_changes_the_report(self):
+    def test_workers_never_change_the_report(self):
         space = SearchSpace(5, 4, 11)
         sequential = minimize(space, shards=4, workers=1).to_json()
         parallel = minimize(space, shards=4, workers=2).to_json()
@@ -375,26 +360,11 @@ class TestPoolSizing:
         # shards=1 leaves one task, which is scanned in-process.
         assert pools == [2, 2]
 
-    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, in_process_pool):
         # 170,544 sets are five workers' worth, but three CPUs get three.
         space = SearchSpace(7, 5, 22)
         assert space.total_sets // SETS_PER_WORKER == 5
-        pools = []
-
-        class InProcess:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InProcess)
+        pools = in_process_pool
         monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
         pooled = minimize(space, shards=8, workers=8).to_json()
         assert pools == [3]
@@ -433,10 +403,3 @@ class TestReportSerialization:
         lines = report.to_csv().splitlines()
         assert lines[0] == "k,h,N,regime,min,bound,slack,minimizer_count,falsified"
         assert lines[1] == "4,3,9,positive,16,16,0,1,false"
-
-    def test_elapsed_not_serialized(self):
-        report = minimize(SearchSpace(4, 3, 9))
-        assert report.elapsed > 0
-        assert "elapsed" not in report.to_dict()
-        assert "elapsed" not in report.to_json()
-        assert "elapsed" not in report.to_csv()
