@@ -22,7 +22,7 @@ for k in range(4, 8):
     A = DilatedOddProgression(d=1).reconstruct(k)
     for h in range(3, k):
         result = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
-        [report] = [r for r in check_bounds(A, h, result) if r.id == "RSS_direct"]
+        [report] = [r for r in check_bounds(A, h, result.cardinality) if r.id == "RSS_direct"]
         print(f"  k={k} h={h}: |fold| = {report.observed}, "
               f"bound = {report.bound}, slack = {report.slack}")
 print()
@@ -31,7 +31,7 @@ print("A generic set exceeds the formula:")
 A = IntegerSet((1, 4, 9, 16, 25))
 h = 3
 result = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
-for report in check_bounds(A, h, result):
+for report in check_bounds(A, h, result.cardinality):
     print(f"  {report.id}: observed {report.observed} vs bound {report.bound} "
           f"(slack {report.slack}, met={report.met})")
 print()
@@ -40,7 +40,7 @@ print("Mixed-parity sets of size h+1 get sharper case-specific bounds:")
 for elems, h in [((2, 4, 5, 6, 8), 4), ((1, 2, 4, 6), 3), ((1, 2, 3, 5, 7), 4)]:
     A = IntegerSet(elems)
     result = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
-    applicable = [r for r in check_bounds(A, h, result) if r.id.startswith("MixedParity")]
+    applicable = [r for r in check_bounds(A, h, result.cardinality) if r.id.startswith("MixedParity")]
     for report in applicable:
         print(f"  {A} h={h}: {report.id} bound {report.bound}, "
               f"observed {report.observed}, met={report.met}")

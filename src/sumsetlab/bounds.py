@@ -24,7 +24,6 @@ from .intset import (
     IntegerSet,
     Other,
     SumClosure4,
-    SumsetResult,
 )
 
 
@@ -65,12 +64,6 @@ class BoundCatalogEntry:
     regime: Optional[str] = None
     guard: Callable[[int, int], bool] = lambda k, h: True
     equality: tuple[tuple[Optional[int], Prediction], ...] = ()
-
-    def applies(self, A: IntegerSet, h: int) -> bool:
-        return self.hypotheses(A, h)
-
-    def value(self, k: int, h: int) -> int:
-        return self.formula(k, h)
 
     def prediction(self, h: int) -> Prediction:
         """The structure equality at fold count h forces."""
@@ -386,22 +379,21 @@ def catalogue_to_json() -> str:
 def check_bounds(
     A: IntegerSet,
     h: int,
-    result: SumsetResult,
+    observed: int,
     variant: SumsetVariant = SumsetVariant.RESTRICTED_SIGNED,
 ) -> list[BoundReport]:
     """Reports for every catalogue entry whose hypotheses hold for (A, h).
 
-    The caller supplies the computed sumset for the matching variant; only
-    entries of that variant are checked.
+    `observed` is the cardinality of A's h-fold sumset of `variant`, as the
+    caller computed it; only entries of that variant are checked.
     """
     if variant not in (SumsetVariant.RESTRICTED, SumsetVariant.RESTRICTED_SIGNED):
         raise VariantMismatch(f"no catalogue bounds govern variant {variant.value!r}")
     k = len(A)
     reports = []
     for entry in _ENTRIES:
-        if entry.variant is variant and entry.applies(A, h):
-            bound = entry.value(k, h)
-            observed = result.cardinality
+        if entry.variant is variant and entry.hypotheses(A, h):
+            bound = entry.formula(k, h)
             reports.append(
                 BoundReport(
                     id=entry.id,
@@ -414,4 +406,3 @@ def check_bounds(
                 )
             )
     return reports
-

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from .bounds import bound_catalogue, catalogue_to_json, check_bounds
+from .bounds import bound_catalogue, catalogue_entry, catalogue_to_json, check_bounds
 from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, RegimeUnsupported, SumsetLabError
 from .intset import IntegerSet, subsums
@@ -104,19 +104,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_format(args.format, ("text", "json"))
     A = parse_set_literal(args.set)
     h = args.h
-    rss = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
-    restricted = compute_dp(A, SumsetVariant.RESTRICTED, h)
-    reports = check_bounds(A, h, rss, SumsetVariant.RESTRICTED_SIGNED)
-    reports += check_bounds(A, h, restricted, SumsetVariant.RESTRICTED)
-    status_by_id = {entry.id: entry.status for entry in bound_catalogue()}
-    broken = [r for r in reports if not r.met and status_by_id[r.id] == "proved"]
+    # The verdict folds rss itself; fold it here only when no regime covers A.
     try:
         verdict = inverse_verdict(A, h)
-        unsupported = None
+        rss = verdict.observed
     except RegimeUnsupported as ex:
-        verdict = None
-        unsupported = str(ex)
-    falsified = bool(broken) or (
+        verdict, unsupported = None, str(ex)
+        rss = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
+    restricted = compute_dp(A, SumsetVariant.RESTRICTED, h).cardinality
+    reports = check_bounds(A, h, rss, SumsetVariant.RESTRICTED_SIGNED)
+    reports += check_bounds(A, h, restricted, SumsetVariant.RESTRICTED)
+    broken = any(not r.met and catalogue_entry(r.id).status == "proved" for r in reports)
+    falsified = broken or (
         verdict is not None
         and verdict.verdict in (EQUALITY_UNEXPECTED, BOUND_VIOLATED)
     )
@@ -126,8 +125,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "set": list(A.elements),
             "k": A.size,
             "h": h,
-            "rss_cardinality": rss.cardinality,
-            "restricted_cardinality": restricted.cardinality,
+            "rss_cardinality": rss,
+            "restricted_cardinality": restricted,
             "bounds": [r.to_dict() for r in reports],
             "inverse": verdict.to_dict() if verdict else None,
             "falsified": falsified,
@@ -136,12 +135,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"set={A} k={A.size} h={h}",
-            f"rss_cardinality={rss.cardinality}",
-            f"restricted_cardinality={restricted.cardinality}",
+            f"rss_cardinality={rss}",
+            f"restricted_cardinality={restricted}",
         ]
         for r in reports:
             lines.append(
-                f"bound id={r.id} status={status_by_id[r.id]} bound={r.bound} "
+                f"bound id={r.id} status={catalogue_entry(r.id).status} bound={r.bound} "
                 f"observed={r.observed} slack={r.slack} met={_bool(r.met)}"
             )
         if not reports:
@@ -285,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gcd-reduce", action="store_true",
                    help="also scan sets whose elements share a factor (positive regime only)")
     p.add_argument("--allow-any-fold", action="store_true",
-                   help="permit h outside 3 <= h <= k-1")
+                   help="permit h outside 3 <= h <= k-1. A space outside its bound's"
+                        " hypotheses (such an h, or the zero regime at k < 5) reports"
+                        " regime <regime>/outside-stated-hypotheses and is never"
+                        " falsified")
     add_common(p, "text|json|csv")
     p.set_defaults(func=cmd_search)
 

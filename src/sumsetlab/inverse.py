@@ -68,19 +68,19 @@ def _resolve_regime(A: IntegerSet, h: int) -> BoundCatalogEntry:
         if entry.regime is not None
         and entry.status == "proved"
         and entry.guard(k, h)
-        and entry.applies(A, h)
+        and entry.hypotheses(A, h)
     ]
     if not covering:
         raise RegimeUnsupported(
             f"no inverse theorem covers |A|={k}, h={h}, min={A.min}"
         )
-    return max(covering, key=lambda entry: entry.value(k, h))
+    return max(covering, key=lambda entry: entry.formula(k, h))
 
 
 def inverse_verdict(A: IntegerSet, h: int) -> InverseVerdict:
     """Check A against the tight bound and predicted structure for its regime."""
     entry = _resolve_regime(A, h)
-    bound = entry.value(len(A), h)
+    bound = entry.formula(len(A), h)
     prediction = entry.prediction(h)
     observed = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
     classification = classify_structure(A)

@@ -152,11 +152,11 @@ class SearchSpace:
         # Both entries' hypotheses read only |A| and the sign of min A, so
         # the first colex member stands for the whole space.
         first = IntegerSet(self.materialize(tuple(range(self.choose_k))))
-        return self.entry.applies(first, self.h)
+        return self.entry.hypotheses(first, self.h)
 
     @property
     def bound(self) -> int:
-        return self.entry.value(self.k, self.h)
+        return self.entry.formula(self.k, self.h)
 
     @property
     def bound_status(self) -> str:

@@ -157,7 +157,7 @@ def witness_parity_split(A: IntegerSet, h: int, r: Optional[int]) -> WitnessFami
     _require(
         LEMMA_PARITY_SPLIT,
         # case 1 fixes |A| = h+1, so element #r exists once r is in range.
-        case1.applies(A, h) and 3 <= r <= h + 1 and (e[r - 1] - e[0]) % 2 == 1,
+        case1.hypotheses(A, h) and 3 <= r <= h + 1 and (e[r - 1] - e[0]) % 2 == 1,
         case1.hypotheses_text + ", 3 <= r <= k, element #r differs in parity from the 1st",
         f"A={A}, h={h}, r={r}",
     )
@@ -197,7 +197,7 @@ def witness_odd_subsums(A: IntegerSet) -> WitnessFamily:
     e = A.elements
     h = len(e)
     odd = catalogue_entry("Odd_k_eq_h")
-    _require(LEMMA_ODD_SUBSUMS, odd.applies(A, h), odd.hypotheses_text, f"A={A}")
+    _require(LEMMA_ODD_SUBSUMS, odd.hypotheses(A, h), odd.hypotheses_text, f"A={A}")
 
     if h == 3:
         sums = [0, e[0], e[1], e[2], e[0] + e[1], e[0] + e[2], e[1] + e[2], sum(e)]
@@ -337,7 +337,7 @@ def witness_all_odd_extension(A: IntegerSet, h: int) -> WitnessFamily:
     base = catalogue_entry("RSS_base")
     _require(
         LEMMA_ALL_ODD_EXTENSION,
-        base.applies(A, h) and A.all_odd(),
+        base.hypotheses(A, h) and A.all_odd(),
         base.hypotheses_text + ", A all odd",
         f"A={A}, h={h}",
     )

@@ -188,8 +188,8 @@ def test_criterion_7_bound_catalogue_soundness(report):
             sets += 1
             A = IntegerSet(combo)
             for h in range(1, k + 1):
-                rss = compute_dp(A, RSS, h)
-                plus = compute_dp(A, SumsetVariant.RESTRICTED, h)
+                rss = compute_dp(A, RSS, h).cardinality
+                plus = compute_dp(A, SumsetVariant.RESTRICTED, h).cardinality
                 for rep in check_bounds(A, h, rss, RSS) + check_bounds(
                     A, h, plus, SumsetVariant.RESTRICTED
                 ):

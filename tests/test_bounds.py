@@ -22,7 +22,7 @@ def entry(entry_id: str):
 
 def rss_reports(elements, h):
     A = IntegerSet(elements)
-    return check_bounds(A, h, compute_dp(A, RSS, h))
+    return check_bounds(A, h, compute_dp(A, RSS, h).cardinality)
 
 
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -84,17 +84,17 @@ class TestApplicability:
     def test_direct_bound_window(self):
         e = entry("RSS_direct")
         A = IntegerSet((1, 3, 5, 7))
-        assert e.applies(A, 3)
-        assert not e.applies(A, 4)  # h = k
-        assert not e.applies(A, 2)
-        assert not e.applies(IntegerSet((0, 1, 3, 5)), 3)  # not positive
-        assert e.value(4, 3) == 16
+        assert e.hypotheses(A, 3)
+        assert not e.hypotheses(A, 4)  # h = k
+        assert not e.hypotheses(A, 2)
+        assert not e.hypotheses(IntegerSet((0, 1, 3, 5)), 3)  # not positive
+        assert e.formula(4, 3) == 16
 
     def test_base_needs_one_extra_element(self):
         e = entry("RSS_base")
-        assert e.applies(IntegerSet((1, 3, 5, 7)), 3)
-        assert not e.applies(IntegerSet((1, 3, 5, 7, 9)), 3)
-        assert e.value(4, 3) == 16
+        assert e.hypotheses(IntegerSet((1, 3, 5, 7)), 3)
+        assert not e.hypotheses(IntegerSet((1, 3, 5, 7, 9)), 3)
+        assert e.formula(4, 3) == 16
 
     def test_weak_bounds_cover_all_folds(self):
         pos = entry("RSS_weak_pos")
@@ -102,21 +102,21 @@ class TestApplicability:
         A = IntegerSet((1, 4, 7))
         Z = IntegerSet((0, 4, 7))
         for h in (1, 2, 3):
-            assert pos.applies(A, h) and not pos.applies(Z, h)
-            assert zero.applies(Z, h) and not zero.applies(A, h)
+            assert pos.hypotheses(A, h) and not pos.hypotheses(Z, h)
+            assert zero.hypotheses(Z, h) and not zero.hypotheses(A, h)
 
     def test_conjecture_needs_five_elements(self):
         e = entry("RSS_conj2")
-        assert e.applies(IntegerSet((0, 1, 2, 3, 4)), 3)
-        assert not e.applies(IntegerSet((0, 1, 2, 3)), 3)
+        assert e.hypotheses(IntegerSet((0, 1, 2, 3, 4)), 3)
+        assert not e.hypotheses(IntegerSet((0, 1, 2, 3)), 3)
         assert e.status == "conjecture"
 
     def test_odd_full_fold(self):
         e = entry("Odd_k_eq_h")
-        assert e.applies(IntegerSet((1, 3, 5)), 3)
-        assert not e.applies(IntegerSet((1, 3, 5)), 2)
-        assert not e.applies(IntegerSet((1, 3, 6)), 3)
-        assert e.value(3, 3) == 8
+        assert e.hypotheses(IntegerSet((1, 3, 5)), 3)
+        assert not e.hypotheses(IntegerSet((1, 3, 5)), 2)
+        assert not e.hypotheses(IntegerSet((1, 3, 6)), 3)
+        assert e.formula(3, 3) == 8
 
     def test_mixed_parity_partition(self):
         # 2nd+3rd both differ in parity from the 1st: exactly one of the
@@ -124,9 +124,9 @@ class TestApplicability:
         tied = IntegerSet((1, 2, 4, 6))
         free = IntegerSet((1, 2, 6, 8))
         a, b = entry("MixedParity_case2a"), entry("MixedParity_case2b")
-        assert a.applies(tied, 3) and not b.applies(tied, 3)
-        assert b.applies(free, 3) and not a.applies(free, 3)
-        assert a.value(4, 3) == 18 and b.value(4, 3) == 20
+        assert a.hypotheses(tied, 3) and not b.hypotheses(tied, 3)
+        assert b.hypotheses(free, 3) and not a.hypotheses(free, 3)
+        assert a.formula(4, 3) == 18 and b.formula(4, 3) == 20
 
     def test_mixed_parity_case3_partition(self):
         not_ap = IntegerSet((1, 2, 3, 7, 9))
@@ -141,18 +141,18 @@ class TestApplicability:
         }
         for eid, (A, h, bound) in cases.items():
             e = entry(eid)
-            assert e.applies(A, h), eid
-            assert e.value(len(A), h) == bound, eid
+            assert e.hypotheses(A, h), eid
+            assert e.formula(len(A), h) == bound, eid
             for other_id in cases:
                 if other_id != eid:
-                    assert not entry(other_id).applies(A, h), (eid, other_id)
+                    assert not entry(other_id).hypotheses(A, h), (eid, other_id)
 
     def test_case1_needs_shared_parity_prefix(self):
         e = entry("MixedParity_case1")
-        assert e.applies(IntegerSet((2, 4, 5, 6, 8)), 4)
-        assert not e.applies(IntegerSet((1, 2, 4, 6, 8)), 4)  # first two differ
-        assert not e.applies(IntegerSet((2, 4, 6, 8, 10)), 4)  # no odd-one-out
-        assert e.value(5, 4) == 30
+        assert e.hypotheses(IntegerSet((2, 4, 5, 6, 8)), 4)
+        assert not e.hypotheses(IntegerSet((1, 2, 4, 6, 8)), 4)  # first two differ
+        assert not e.hypotheses(IntegerSet((2, 4, 6, 8, 10)), 4)  # no odd-one-out
+        assert e.formula(5, 4) == 30
 
 
 class TestCheckBounds:
@@ -160,9 +160,9 @@ class TestCheckBounds:
         A = IntegerSet((1, 2, 3))
         res = compute_dp(A, SumsetVariant.PLAIN, 2)
         with pytest.raises(VariantMismatch):
-            check_bounds(A, 2, res, SumsetVariant.PLAIN)
+            check_bounds(A, 2, res.cardinality, SumsetVariant.PLAIN)
         with pytest.raises(VariantMismatch):
-            check_bounds(A, 2, res, SumsetVariant.SIGNED)
+            check_bounds(A, 2, res.cardinality, SumsetVariant.SIGNED)
 
     def test_reports_only_applicable_entries(self):
         reports = rss_reports((1, 3, 5, 7), 3)
@@ -179,7 +179,7 @@ class TestCheckBounds:
     def test_restricted_catalogue(self):
         A = IntegerSet((1, 2, 3, 4))
         res = compute_dp(A, R, 2)
-        reports = check_bounds(A, 2, res, R)
+        reports = check_bounds(A, 2, res.cardinality, R)
         assert [r.id for r in reports] == ["R_plain"]
         assert reports[0].bound == 5 and reports[0].observed == 5 and reports[0].met
 
@@ -197,22 +197,22 @@ class TestTightness:
     def test_interval_attains_weak_positive_bound_at_full_fold(self):
         A = ArithmeticProgression(1, 1).reconstruct(4)
         got = compute_dp(A, RSS, 4).cardinality
-        assert got == entry("RSS_weak_pos").value(4, 4) == 11
+        assert got == entry("RSS_weak_pos").formula(4, 4) == 11
 
     def test_zero_interval_attains_weak_zero_bound_at_full_fold(self):
         A = ArithmeticProgression(0, 1).reconstruct(4)
         got = compute_dp(A, RSS, 4).cardinality
-        assert got == entry("RSS_weak_zero").value(4, 4) == 7
+        assert got == entry("RSS_weak_zero").formula(4, 4) == 7
 
     def test_zero_interval_attains_conjecture_bound(self):
         A = IntegerSet((0, 1, 2, 3, 4))
         got = compute_dp(A, RSS, 3).cardinality
-        assert got == entry("RSS_conj2").value(5, 3) == 19
+        assert got == entry("RSS_conj2").formula(5, 3) == 19
 
     def test_ap_attains_restricted_bound(self):
         A = IntegerSet((3, 5, 7, 9, 11))
         got = compute_dp(A, R, 2).cardinality
-        assert got == entry("R_plain").value(5, 2) == 7
+        assert got == entry("R_plain").formula(5, 2) == 7
 
 
 class TestApHelper:

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import sumsetlab.cli as cli
+from sumsetlab.bounds import BoundReport
 from sumsetlab.errors import BadParams
 from sumsetlab.intset import IntegerSet
 from sumsetlab.search import SearchReport
@@ -128,6 +129,43 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--set", "1,3,5,7", "--h", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["inverse"] is None
+
+    # h=3: an inverse regime covers {1,3,5,9}, so the verdict's fold is the
+    # report's rss count; h=2: none does, so verify folds rss itself.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("h, covered", [("3", True), ("2", False)])
+    def test_folds_each_sumset_once(self, capsys, monkeypatch, h, covered, fmt):
+        import sumsetlab.inverse as inverse_mod
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "compute_dp", counted(cli.compute_dp))
+        monkeypatch.setattr(inverse_mod, "compute_dp", counted(inverse_mod.compute_dp))
+        code, out, _ = run(capsys, "verify", "--set", "1,3,5,9", "--h", h, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert (json.loads(out)["inverse"] is not None) == covered
+        else:
+            assert ("inverse=unsupported" not in out) == covered
+        # The rss and the restricted sumset, one fold each.
+        assert len(calls) == len(set(calls)) == 2
+
+    @pytest.mark.parametrize("entry_id, code", [("RSS_direct", 1), ("RSS_conj2", 0)])
+    def test_only_a_proved_bound_falsifies(self, capsys, monkeypatch, entry_id, code):
+        # No sound catalogue entry fails on a real set; tamper with the
+        # reports to pin the exit code.
+        miss = BoundReport(entry_id, k=4, h=2, bound=99, observed=10, slack=-89, met=False)
+        monkeypatch.setattr(cli, "check_bounds", lambda *args: [miss])
+        got, out, _ = run(capsys, "verify", "--set", "1,3,5,7", "--h", "2")
+        assert got == code
+        assert f"bound id={entry_id}" in out
+        assert lines_of(out)[-1] == ("result=falsified" if code else "result=ok")
 
 
 class TestSearch:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -254,6 +255,30 @@ class TestVerifyCatchesTampering:
         assert not broken.verify().disjoint
 
 
+class TestOrderingGuards:
+    """Each lemma's guard rejects a family with one part moved out of order."""
+
+    @staticmethod
+    def shifted(family, name, delta):
+        parts = tuple(
+            dataclasses.replace(p, values=tuple(v + delta for v in p.values))
+            if p.name == name else p
+            for p in family.parts
+        )
+        return dataclasses.replace(family, parts=parts)
+
+    @pytest.mark.parametrize("family, name, delta", [
+        (witness_parity_split(IntegerSet((2, 4, 5, 6, 8)), 4, 3), "block-0", 10**6),
+        (witness_mixed_parity_a3(IntegerSet((1, 2, 6, 8)), 3), "block-0", 10**6),
+        (witness_mixed_parity_a2(IntegerSet((1, 2, 3, 5, 7)), 4), "block-0", 10**6),
+        (witness_odd_subsums(IntegerSet((1, 3, 5, 7, 11))), "run-1", 10**6),
+        (witness_all_odd_extension(IntegerSet((1, 3, 5, 9)), 3), "upper-sums", -10**6),
+    ], ids=lambda v: v.lemma if isinstance(v, WitnessFamily) else None)
+    def test_moved_part_fails(self, family, name, delta):
+        assert ordering_guards_hold(family)
+        assert not ordering_guards_hold(self.shifted(family, name, delta))
+
+
 class TestDispatchAndSerialization:
     def test_generate_all_lemmas(self):
         cases = {
@@ -349,17 +374,17 @@ def test_generators_accept_exactly_their_catalogue_hypotheses():
     entries = {e.id: e for e in bound_catalogue()}
 
     def any_entry(prefix, A, h):
-        return any(e.applies(A, h) for i, e in entries.items() if i.startswith(prefix))
+        return any(e.hypotheses(A, h) for i, e in entries.items() if i.startswith(prefix))
 
     checked = 0
     for k in range(1, 8):
         for combo in itertools.combinations(range(12), k):
             A = IntegerSet(combo)
-            odd_ok = entries["Odd_k_eq_h"].applies(A, k)
+            odd_ok = entries["Odd_k_eq_h"].hypotheses(A, k)
             assert _violates(lambda: witness_odd_subsums(A)) is not odd_ok, combo
             for h in range(1, 9):
                 checked += 1
-                case1 = entries["MixedParity_case1"].applies(A, h)
+                case1 = entries["MixedParity_case1"].hypotheses(A, h)
                 for r in range(1, k + 2):
                     ok = case1 and 3 <= r <= k and (combo[r - 1] - combo[0]) % 2 == 1
                     assert _violates(lambda: witness_parity_split(A, h, r)) is not ok, (combo, h, r)
@@ -367,6 +392,6 @@ def test_generators_accept_exactly_their_catalogue_hypotheses():
                 assert _violates(lambda: witness_mixed_parity_a3(A, h)) is not a3_ok, (combo, h)
                 a2_ok = any_entry("MixedParity_case3", A, h)
                 assert _violates(lambda: witness_mixed_parity_a2(A, h)) is not a2_ok, (combo, h)
-                ext_ok = entries["RSS_base"].applies(A, h) and A.all_odd()
+                ext_ok = entries["RSS_base"].hypotheses(A, h) and A.all_odd()
                 assert _violates(lambda: witness_all_odd_extension(A, h)) is not ext_ok, (combo, h)
     assert checked == 3301 * 8
