@@ -24,7 +24,7 @@ for lemma, A, kwargs in CASES:
     print(f"{lemma}: A = {A}, fold = {family.fold}, target = {family.target_kind}")
     for part in family.parts:
         branch = f" [{part.branch}]" if part.branch else ""
-        print(f"  {part.name:<16} size {part.size:2d}{branch}: "
+        print(f"  {part.name:<16} size {len(part.values):2d}{branch}: "
               + ",".join(str(v) for v in part.values))
     print(f"  exhibits {family.claimed_total} of the target's "
           f"{checks.target_cardinality} values")

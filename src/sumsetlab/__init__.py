@@ -24,7 +24,6 @@ from .intset import (
     abs_set,
     subsums,
     classify_structure,
-    class_name,
 )
 from .engine import (
     SumsetVariant,
@@ -72,7 +71,6 @@ __all__ = [
     "abs_set",
     "subsums",
     "classify_structure",
-    "class_name",
     "SumsetVariant",
     "compute_oracle",
     "compute_dp",

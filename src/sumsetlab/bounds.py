@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import SumsetVariant
-from .errors import VariantMismatch
+from .errors import BadParams, VariantMismatch
 from .intset import (
     ArithmeticProgression,
     DiffClosure4,
@@ -83,23 +83,13 @@ class BoundReport:
     met: bool
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "k": self.k,
-            "h": self.h,
-            "bound": self.bound,
-            "observed": self.observed,
-            "slack": self.slack,
-            "met": self.met,
-        }
+        # The fields in declaration order; asdict would deep-copy each one.
+        return dict(vars(self))
 
 
-def _positive(A: IntegerSet, h: int) -> bool:
-    return A.min >= 1
-
-
-def _nonneg_with_zero(A: IntegerSet, h: int) -> bool:
-    return A.min == 0
+def direct_window(k: int, h: int) -> bool:
+    """The fold window 3 <= h <= k-1 of the paper's direct theorem."""
+    return 3 <= h <= k - 1
 
 
 MIXED_CASE2_TEXT = "k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in parity from the 1st"
@@ -147,7 +137,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_direct",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 2 * h * k - h * h + 1,
-        hypotheses=lambda A, h: _positive(A, h) and 3 <= h <= len(A) - 1,
+        hypotheses=lambda A, h: A.min >= 1 and direct_window(len(A), h),
         formula_text="2*h*k - h^2 + 1",
         hypotheses_text="A positive, 3 <= h <= k-1",
         source="restricted signed fold of any k positive integers; tight on dilated odd progressions",
@@ -161,7 +151,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_base",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 2 * h + 1,
-        hypotheses=lambda A, h: _positive(A, h) and h >= 3 and len(A) == h + 1,
+        hypotheses=lambda A, h: A.min >= 1 and h >= 3 and len(A) == h + 1,
         formula_text="h^2 + 2*h + 1",
         hypotheses_text="A positive, k = h+1, h >= 3",
         source="base case of the direct bound, one element more than the fold count",
@@ -171,7 +161,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_weak_pos",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 2 * (h * k - h * h) + h * (h + 1) // 2 + 1,
-        hypotheses=lambda A, h: _positive(A, h) and 1 <= h <= len(A),
+        hypotheses=lambda A, h: A.min >= 1 and 1 <= h <= len(A),
         formula_text="2*(h*k - h^2) + h*(h+1)/2 + 1",
         hypotheses_text="A positive, 1 <= h <= k",
         source="weaker all-fold bound for positive sets; tight on dilated intervals",
@@ -195,7 +185,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_weak_zero",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 2 * (h * k - h * h) + h * (h - 1) // 2 + 1,
-        hypotheses=lambda A, h: _nonneg_with_zero(A, h) and 1 <= h <= len(A),
+        hypotheses=lambda A, h: A.min == 0 and 1 <= h <= len(A),
         formula_text="2*(h*k - h^2) + h*(h-1)/2 + 1",
         hypotheses_text="0 in A, A nonnegative, 1 <= h <= k",
         source="weaker all-fold bound for sets containing 0; tight on dilated 0-based intervals",
@@ -211,17 +201,15 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_conj2",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 2 * h * k - h * (h + 1) + 1,
-        hypotheses=lambda A, h: _nonneg_with_zero(A, h)
-        and len(A) >= 5
-        and 3 <= h <= len(A) - 1,
+        hypotheses=lambda A, h: A.min == 0 and len(A) >= 5 and direct_window(len(A), h),
         formula_text="2*h*k - h*(h+1) + 1",
         hypotheses_text="0 in A, A nonnegative, k >= 5, 3 <= h <= k-1",
         source="conjectured sharp bound for sets containing 0",
         status="conjecture",
-        # No inverse regime: only the search tests this prediction, by class
-        # name.  d*[0,k-1] starts at 0, so it is no dilated odd progression
-        # and classifies as an arithmetic progression; in the zero regime
-        # every arithmetic progression is such a set.
+        # No inverse regime: only the search tests this prediction, through
+        # Prediction.holds.  d*[0,k-1] starts at 0, so it is no dilated odd
+        # progression and classifies as an arithmetic progression; in the
+        # zero regime every arithmetic progression is such a set.
         equality=(
             (None, Prediction("dilated interval d*[0,k-1]", ArithmeticProgression, _from_zero)),
         ),
@@ -357,7 +345,10 @@ def bound_catalogue() -> list[BoundCatalogEntry]:
 
 def catalogue_entry(entry_id: str) -> BoundCatalogEntry:
     """The catalogue entry with this id."""
-    return next(entry for entry in _ENTRIES if entry.id == entry_id)
+    for entry in _ENTRIES:
+        if entry.id == entry_id:
+            return entry
+    raise BadParams(f"no catalogue entry {entry_id!r}")
 
 
 def catalogue_to_json() -> str:
@@ -387,7 +378,7 @@ def check_bounds(
     `observed` is the cardinality of A's h-fold sumset of `variant`, as the
     caller computed it; only entries of that variant are checked.
     """
-    if variant not in (SumsetVariant.RESTRICTED, SumsetVariant.RESTRICTED_SIGNED):
+    if not any(entry.variant is variant for entry in _ENTRIES):
         raise VariantMismatch(f"no catalogue bounds govern variant {variant.value!r}")
     k = len(A)
     reports = []

@@ -19,14 +19,13 @@ from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, RegimeUnsupported, SumsetLabError
 from .intset import IntegerSet, subsums
 from .inverse import BOUND_VIOLATED, EQUALITY_UNEXPECTED, inverse_verdict
-from .search import SearchSpace, minimize
+from .search import REGIME_POSITIVE, REGIME_ZERO, SearchSpace, minimize
 from .witness import ALL_LEMMAS, generate, ordering_guards_hold
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 
-_COMPUTE_VARIANTS = ("plain", "restricted", "signed", "rss", "subsums")
 # argparse reads "--set -3,-1" as an option followed by nothing.
 _SET_HELP = "comma-separated integers; write a negative first element as --set=-3,-1"
 
@@ -71,13 +70,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...]) -> None:
-    if fmt not in allowed:
-        raise BadParams(f"--format {fmt} is not available here (use {'|'.join(allowed)})")
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("text", "json"))
     A = parse_set_literal(args.set)
     if args.variant == "subsums":
         if args.h is not None:
@@ -101,7 +94,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("text", "json"))
     A = parse_set_literal(args.set)
     h = args.h
     # The verdict folds rss itself; fold it here only when no regime covers A.
@@ -123,7 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {
             "set": list(A.elements),
-            "k": A.size,
+            "k": len(A),
             "h": h,
             "rss_cardinality": rss,
             "restricted_cardinality": restricted,
@@ -134,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = _json_dumps(doc)
     else:
         lines = [
-            f"set={A} k={A.size} h={h}",
+            f"set={A} k={len(A)} h={h}",
             f"rss_cardinality={rss}",
             f"restricted_cardinality={restricted}",
         ]
@@ -162,7 +154,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("text", "json", "csv"))
     space = SearchSpace(
         k=args.k,
         h=args.h,
@@ -195,7 +186,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("text", "json"))
     A = parse_set_literal(args.set)
     family = generate(args.lemma, A, h=args.h, r=args.r)
     checks = family.verify()
@@ -207,7 +197,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         lines = [f"lemma={family.lemma} set={A} fold={family.fold}"]
         for part in family.parts:
             lines.append(
-                f"part name={part.name} size={part.size} "
+                f"part name={part.name} size={len(part.values)} "
                 f"branch={part.branch if part.branch else '-'}"
             )
         lines.append(f"total={family.claimed_total}")
@@ -225,7 +215,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    _check_format(args.format, ("text", "json"))
     if args.format == "json":
         text = catalogue_to_json()
     else:
@@ -250,18 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats: str) -> None:
-        p.add_argument("--format", default="text", help=f"output format: {formats}")
+    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+        p.add_argument("--format", default="text", choices=formats, metavar="FORMAT",
+                       help=f"output format: {'|'.join(formats)}")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report to PATH instead of stdout")
 
     p = sub.add_parser("compute", help="compute one sumset or the subset sums")
     p.add_argument("--set", required=True, help=_SET_HELP)
-    p.add_argument("--variant", default="rss", choices=_COMPUTE_VARIANTS)
+    p.add_argument("--variant", default="rss",
+                   choices=[v.value for v in SumsetVariant] + ["subsums"])
     p.add_argument("--h", type=int, default=None, help="fold count")
     p.add_argument("--values", action="store_true",
                    help="also print the full value list (text format)")
-    add_common(p, "text|json")
+    add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser(
@@ -270,14 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--set", required=True, help=_SET_HELP)
     p.add_argument("--h", type=int, required=True, help="fold count")
-    add_common(p, "text|json")
+    add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustively minimize over a set space")
     p.add_argument("--k", type=int, required=True, help="set size")
     p.add_argument("--h", type=int, required=True, help="fold count")
     p.add_argument("--max", type=int, required=True, help="largest allowed element")
-    p.add_argument("--regime", default="positive", choices=("positive", "zero"))
+    p.add_argument("--regime", default=REGIME_POSITIVE,
+                   choices=(REGIME_POSITIVE, REGIME_ZERO))
     p.add_argument("--workers", type=int, default=None,
                    help="at most this many processes (default: all cores); small"
                         " spaces are scanned in-process")
@@ -288,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " hypotheses (such an h, or the zero regime at k < 5) reports"
                         " regime <regime>/outside-stated-hypotheses and is never"
                         " falsified")
-    add_common(p, "text|json|csv")
+    add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("witness", help="generate and check one witness family")
@@ -297,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=None, help="fold count")
     p.add_argument("--r", type=int, default=None,
                    help="1-based index of the odd-one-out element (parity-split)")
-    add_common(p, "text|json")
+    add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("bounds", help="dump the bound catalogue")
-    add_common(p, "text|json")
+    add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_bounds)
 
     return parser

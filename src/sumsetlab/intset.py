@@ -62,10 +62,6 @@ class IntegerSet:
         return value in self.elements
 
     @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
     def min(self) -> int:
         return self.elements[0]
 
@@ -75,9 +71,6 @@ class IntegerSet:
 
     def all_odd(self) -> bool:
         return all(a % 2 == 1 for a in self.elements)
-
-    def total(self) -> int:
-        return sum(self.elements)
 
     def remove(self, value: int) -> "IntegerSet":
         """The set without one element."""
@@ -212,9 +205,6 @@ class SumClosure4:
             return cls(*elements[:3])
         return None
 
-    def reconstruct(self, k: int = 4) -> IntegerSet:
-        return IntegerSet((self.a1, self.a2, self.a3, self.a1 + self.a2 + self.a3))
-
     def __str__(self) -> str:
         return f"SumClosure4(a1={self.a1},a2={self.a2},a3={self.a3})"
 
@@ -232,9 +222,6 @@ class DiffClosure4:
         if len(elements) == 4 and elements[3] == elements[2] + elements[1] - elements[0]:
             return cls(*elements[:3])
         return None
-
-    def reconstruct(self, k: int = 4) -> IntegerSet:
-        return IntegerSet((self.a1, self.a2, self.a3, self.a3 + self.a2 - self.a1))
 
     def __str__(self) -> str:
         return f"DiffClosure4(a1={self.a1},a2={self.a2},a3={self.a3})"
@@ -262,10 +249,6 @@ StructureClass = Union[
 
 # Classification priority: the first family that matches wins.
 _FAMILIES = (DilatedOddProgression, ArithmeticProgression, SumClosure4, DiffClosure4, Other)
-
-
-def class_name(cls: StructureClass) -> str:
-    return type(cls).__name__
 
 
 def classify_structure(A: IntegerSet) -> StructureClass:

@@ -41,17 +41,8 @@ class InverseVerdict:
     prediction_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "regime": self.regime,
-            "k": self.k,
-            "h": self.h,
-            "bound": self.bound,
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "classification": str(self.classification),
-            "prediction_holds": self.prediction_holds,
-        }
+        # The fields in declaration order; asdict would deep-copy each one.
+        return {**vars(self), "classification": str(self.classification)}
 
 
 def _resolve_regime(A: IntegerSet, h: int) -> BoundCatalogEntry:

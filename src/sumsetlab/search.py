@@ -55,10 +55,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundCatalogEntry, catalogue_entry
+from .bounds import BoundCatalogEntry, catalogue_entry, direct_window
 from .engine import MAX_FOLD, fold_restricted
 from .errors import BadParams, FoldTooLarge, SpaceTooLarge
-from .intset import MAX_ELEMENT, IntegerSet, class_name, classify_structure
+from .intset import MAX_ELEMENT, IntegerSet, classify_structure
 
 REGIME_POSITIVE = "positive"
 REGIME_ZERO = "zero"
@@ -105,7 +105,7 @@ class SearchSpace:
             )
         if not 1 <= self.h <= self.k:
             raise BadParams(f"need 1 <= h <= k = {self.k}, got h = {self.h}")
-        if not self.allow_any_fold and not 3 <= self.h <= self.k - 1:
+        if not self.allow_any_fold and not direct_window(self.k, self.h):
             raise BadParams(
                 f"stated hypotheses need 3 <= h <= k-1 = {self.k - 1}, got "
                 f"h = {self.h}; pass --allow-any-fold to search outside them"
@@ -286,7 +286,7 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
                     elems = tuple(sorted([a, a1, *vals[2:]]))
                     if skip_imprimitive and math.gcd(*elems) > 1:
                         continue
-                    name = class_name(classify_structure(IntegerSet(elems)))
+                    name = type(classify_structure(IntegerSet(elems))).__name__
                     if card < best:
                         best = card
                         n_best = 0
@@ -339,26 +339,20 @@ class SearchReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    CSV_HEADER = "k,h,N,regime,min,bound,slack,minimizer_count,falsified"
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            str(x)
-            for x in (
-                self.k,
-                self.h,
-                self.max_element,
-                self.regime,
-                self.minimum,
-                self.bound,
-                self.slack,
-                self.minimizer_count,
-                "true" if self.falsified else "false",
-            )
-        )
-
     def to_csv(self) -> str:
-        return f"{self.CSV_HEADER}\n{self.to_csv_row()}\n"
+        row = (
+            self.k,
+            self.h,
+            self.max_element,
+            self.regime,
+            self.minimum,
+            self.bound,
+            self.slack,
+            self.minimizer_count,
+            "true" if self.falsified else "false",
+        )
+        header = "k,h,N,regime,min,bound,slack,minimizer_count,falsified"
+        return f"{header}\n{','.join(map(str, row))}\n"
 
 
 def minimize(

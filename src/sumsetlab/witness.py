@@ -59,10 +59,6 @@ class WitnessPart:
     values: tuple[int, ...]
     branch: Optional[str] = None
 
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class WitnessChecks:
@@ -111,7 +107,7 @@ class WitnessFamily:
             disjoint = False
         target = self.target_values()
         contained = seen <= set(target.values)
-        total_matches = sum(p.size for p in self.parts) == self.claimed_total
+        total_matches = sum(len(p.values) for p in self.parts) == self.claimed_total
         return WitnessChecks(disjoint, contained, total_matches, target.cardinality)
 
     def to_dict(self, checks: WitnessChecks) -> dict:
@@ -119,7 +115,7 @@ class WitnessFamily:
         return {
             "lemma": self.lemma,
             "parts": [
-                {"name": p.name, "size": p.size, "branch": p.branch}
+                {"name": p.name, "size": len(p.values), "branch": p.branch}
                 for p in self.parts
             ],
             "total": self.claimed_total,
@@ -449,9 +445,9 @@ def generate(lemma: str, A: IntegerSet, h: Optional[int] = None,
     if r is not None and lemma != LEMMA_PARITY_SPLIT:
         raise BadParams(f"{lemma} takes no odd-one-out index; drop --r")
     if lemma == LEMMA_ODD_SUBSUMS:
-        if h is not None and h != A.size:
+        if h is not None and h != len(A):
             raise BadParams(
-                f"odd-subsums always folds all |A|={A.size} elements; drop --h"
+                f"odd-subsums always folds all |A|={len(A)} elements; drop --h"
             )
         return witness_odd_subsums(A)
     if h is None:

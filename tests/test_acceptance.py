@@ -263,7 +263,7 @@ def test_criterion_9_identity_properties(report):
             plus | minus <= set(rss.values) <= signed,
             (elems, h),
         )
-        total = A.total()
+        total = sum(A.elements)
         check(
             "full-fold",
             compute_dp(A, RSS, k).values

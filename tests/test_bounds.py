@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from sumsetlab.bounds import bound_catalogue, catalogue_to_json, check_bounds
+from sumsetlab.bounds import bound_catalogue, catalogue_entry, catalogue_to_json, check_bounds
 from sumsetlab.engine import SumsetVariant, compute_dp
-from sumsetlab.errors import VariantMismatch
+from sumsetlab.errors import BadParams, SumsetLabError, VariantMismatch
 from sumsetlab.intset import ArithmeticProgression, DilatedOddProgression, IntegerSet
 
 RSS = SumsetVariant.RESTRICTED_SIGNED
@@ -78,6 +78,13 @@ class TestCatalogueShape:
         assert len(doc) == 14
         assert list(doc[0]) == ["id", "variant", "formula", "hypotheses", "source", "status"]
         assert json.dumps(doc, indent=2) == text
+
+    def test_entry_lookup(self):
+        for e in bound_catalogue():
+            assert catalogue_entry(e.id) == e
+        with pytest.raises(BadParams, match="'nope'") as exc:
+            catalogue_entry("nope")
+        assert isinstance(exc.value, SumsetLabError)
 
 
 class TestApplicability:

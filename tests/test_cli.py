@@ -80,8 +80,11 @@ class TestCompute:
         assert code == 2 and "duplicate" in err
 
     def test_csv_not_available(self, capsys):
-        code, _, err = run(capsys, "compute", "--set", "1,3", "--h", "2", "--format", "csv")
-        assert code == 2 and "--format csv" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--set", "1,3", "--h", "2", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--format" in err and "'csv'" in err
 
 
 class TestVerify:
@@ -413,6 +416,8 @@ class TestOutputPlumbing:
         assert exc.value.code == 2
 
     def test_unknown_format_exits_two(self, capsys):
-        code, _, err = run(capsys, "compute", "--set", "1,3", "--h", "2",
-                           "--format", "yaml")
-        assert code == 2 and "--format yaml" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--set", "1,3", "--h", "2", "--format", "yaml"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--format" in err and "'yaml'" in err

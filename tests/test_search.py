@@ -9,7 +9,7 @@ import pytest
 from sumsetlab.bounds import Prediction
 from sumsetlab.engine import SumsetVariant, compute_dp
 from sumsetlab.errors import BadParams, FoldTooLarge, SpaceTooLarge
-from sumsetlab.intset import IntegerSet, class_name, classify_structure
+from sumsetlab.intset import IntegerSet, classify_structure
 from sumsetlab import search
 from sumsetlab.search import (
     MINIMIZER_CAP,
@@ -48,7 +48,7 @@ def brute_report(space):
         (A.elements for A, card in cards if card == minimum),
         key=lambda elems: elems[::-1],
     )
-    classes = Counter(class_name(classify_structure(IntegerSet(e))) for e in tied)
+    classes = Counter(type(classify_structure(IntegerSet(e))).__name__ for e in tied)
     return minimum, len(tied), tuple(tied[:MINIMIZER_CAP]), dict(classes)
 
 

@@ -48,7 +48,7 @@ class TestParitySplit:
         names = [p.name for p in fam.parts]
         assert names[:5] == ["block-0", "block-1", "block-2", "block-3", "block-4"]
         assert names[5:] == ["pair-1", "pair-2", "pair-3", "pair-4"]
-        assert all(p.size == 2 for p in fam.parts[5:])
+        assert all(len(p.values) == 2 for p in fam.parts[5:])
 
     def test_removable_index_matters(self):
         # r must name an element whose parity differs from the first.
@@ -211,7 +211,7 @@ class TestVerifyCatchesTampering:
         doubled = fam.parts[:1] + (WitnessPart("rogue", first.values),) + fam.parts[1:]
         broken = WitnessFamily(
             fam.lemma, fam.base_set, fam.fold, fam.target_kind,
-            doubled, fam.claimed_total + first.size,
+            doubled, fam.claimed_total + len(first.values),
         )
         checks = broken.verify()
         assert not checks.disjoint and checks.contained and checks.total_matches
