@@ -1,4 +1,11 @@
-"""sumsetlab: exact sumset variants, direct bounds, witnesses, and searches."""
+"""sumsetlab: exact sumset variants, direct bounds, witnesses, and searches.
+
+The search and witness names load their modules on first use, so importing
+the package to compute or verify one set loads neither of them, nor the
+process pool the search starts.
+"""
+
+import importlib
 
 from .errors import (
     BadParams,
@@ -32,6 +39,7 @@ from .engine import (
     independence_number,
 )
 from .bounds import (
+    ALL_LEMMAS,
     BoundCatalogEntry,
     BoundReport,
     bound_catalogue,
@@ -39,15 +47,26 @@ from .bounds import (
     check_bounds,
 )
 from .inverse import InverseVerdict, inverse_verdict
-from .witness import (
-    ALL_LEMMAS,
-    WitnessChecks,
-    WitnessFamily,
-    WitnessPart,
-    generate,
-    ordering_guards_hold,
-)
-from .search import SearchReport, SearchSpace, minimize
+
+# Resolved on each access (PEP 562), never cached here: a function patched
+# in its own module is then the one this package hands out.
+_LAZY = {
+    "WitnessChecks": "witness",
+    "WitnessFamily": "witness",
+    "WitnessPart": "witness",
+    "generate": "witness",
+    "ordering_guards_hold": "witness",
+    "SearchReport": "search",
+    "SearchSpace": "search",
+    "minimize": "search",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "SumsetLabError",

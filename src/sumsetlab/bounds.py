@@ -6,7 +6,9 @@ predicate holds, never by silent extension.  Entries tagged conjecture are
 reported but excluded from hard verification gates.  An entry backed by an
 inverse theorem also names its regime and the structure equality forces;
 the inverse verdicts and the search read both from here, and the witness
-generators read their lemmas' hypotheses from the same predicates.
+generators read their lemmas' hypotheses from the same predicates.  The
+search's regime names and the witness lemma ids are defined here too, so
+the CLI builds its parser without loading the search or the witnesses.
 """
 
 from __future__ import annotations
@@ -91,6 +93,24 @@ def direct_window(k: int, h: int) -> bool:
     """The fold window 3 <= h <= k-1 of the paper's direct theorem."""
     return 3 <= h <= k - 1
 
+
+# Search regimes: RSS_direct bounds the positive one, RSS_conj2 the zero one.
+REGIME_POSITIVE = "positive"
+REGIME_ZERO = "zero"
+
+LEMMA_PARITY_SPLIT = "parity-split"
+LEMMA_ODD_SUBSUMS = "odd-subsums"
+LEMMA_MIXED_PARITY_A3 = "mixed-parity-a3"
+LEMMA_MIXED_PARITY_A2 = "mixed-parity-a2"
+LEMMA_ALL_ODD_EXTENSION = "all-odd-extension"
+
+ALL_LEMMAS = (
+    LEMMA_PARITY_SPLIT,
+    LEMMA_ODD_SUBSUMS,
+    LEMMA_MIXED_PARITY_A3,
+    LEMMA_MIXED_PARITY_A2,
+    LEMMA_ALL_ODD_EXTENSION,
+)
 
 MIXED_CASE2_TEXT = "k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in parity from the 1st"
 MIXED_CASE3_TEXT = "k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st"

@@ -14,13 +14,22 @@ import os
 import sys
 from typing import Optional
 
-from .bounds import bound_catalogue, catalogue_entry, catalogue_to_json, check_bounds
+from .bounds import (
+    ALL_LEMMAS,
+    REGIME_POSITIVE,
+    REGIME_ZERO,
+    bound_catalogue,
+    catalogue_entry,
+    catalogue_to_json,
+    check_bounds,
+)
 from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, RegimeUnsupported, SumsetLabError
 from .intset import IntegerSet, subsums
 from .inverse import BOUND_VIOLATED, EQUALITY_UNEXPECTED, inverse_verdict
-from .search import REGIME_POSITIVE, REGIME_ZERO, SearchSpace, minimize
-from .witness import ALL_LEMMAS, generate, ordering_guards_hold
+
+# search and witness are imported by the commands that run them, so the
+# other commands start without loading either.
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -154,6 +163,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchSpace, minimize
+
     space = SearchSpace(
         k=args.k,
         h=args.h,
@@ -186,6 +197,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .witness import generate, ordering_guards_hold
+
     A = parse_set_literal(args.set)
     family = generate(args.lemma, A, h=args.h, r=args.r)
     checks = family.verify()

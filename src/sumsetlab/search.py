@@ -51,17 +51,20 @@ import json
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundCatalogEntry, catalogue_entry, direct_window
+from .bounds import (
+    REGIME_POSITIVE,
+    REGIME_ZERO,
+    BoundCatalogEntry,
+    catalogue_entry,
+    direct_window,
+)
 from .engine import MAX_FOLD, fold_restricted
 from .errors import BadParams, FoldTooLarge, SpaceTooLarge
 from .intset import MAX_ELEMENT, IntegerSet, classify_structure
 
-REGIME_POSITIVE = "positive"
-REGIME_ZERO = "zero"
 OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 
 SPACE_CAP = 10**9
@@ -376,7 +379,15 @@ def minimize(
     )
     args = ([space] * len(ranges), *zip(*ranges))
     if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        # Imported here, so a serial scan never loads the pool.  Fork, where
+        # the platform offers it, is the start method SETS_PER_WORKER was
+        # measured under; Python 3.14 on Linux and macOS default to others.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork") if fork else None
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=context) as pool:
             results = list(pool.map(_scan_shard, *args))
     else:
         results = list(map(_scan_shard, *args))

@@ -25,6 +25,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import (
+    ALL_LEMMAS,
+    LEMMA_ALL_ODD_EXTENSION,
+    LEMMA_MIXED_PARITY_A2,
+    LEMMA_MIXED_PARITY_A3,
+    LEMMA_ODD_SUBSUMS,
+    LEMMA_PARITY_SPLIT,
     MIXED_CASE2_TEXT,
     MIXED_CASE3_TEXT,
     catalogue_entry,
@@ -34,20 +40,6 @@ from .bounds import (
 from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, HypothesisViolated
 from .intset import IntegerSet, SumsetResult, subsums
-
-LEMMA_PARITY_SPLIT = "parity-split"
-LEMMA_ODD_SUBSUMS = "odd-subsums"
-LEMMA_MIXED_PARITY_A3 = "mixed-parity-a3"
-LEMMA_MIXED_PARITY_A2 = "mixed-parity-a2"
-LEMMA_ALL_ODD_EXTENSION = "all-odd-extension"
-
-ALL_LEMMAS = (
-    LEMMA_PARITY_SPLIT,
-    LEMMA_ODD_SUBSUMS,
-    LEMMA_MIXED_PARITY_A3,
-    LEMMA_MIXED_PARITY_A2,
-    LEMMA_ALL_ODD_EXTENSION,
-)
 
 TARGET_RSS = "rss"
 TARGET_SUBSUMS = "subsums"

@@ -7,11 +7,11 @@ uniformly-ish over small element ranges, for the randomized suites.
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 
 import pytest
 
-from sumsetlab import search
 from sumsetlab.intset import IntegerSet
 
 
@@ -22,7 +22,7 @@ def in_process_pool(monkeypatch):
     pools = []
 
     class InProcess:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             pools.append(max_workers)
 
         def __enter__(self):
@@ -34,7 +34,8 @@ def in_process_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcess)
+    # The search imports the pool class when it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     return pools
 
 

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumsetlab
 import sumsetlab.cli as cli
 from sumsetlab.bounds import BoundReport
 from sumsetlab.errors import BadParams
@@ -257,7 +261,9 @@ class TestSearch:
             minimizer_count=1, minimizers=((1, 2, 3, 4),),
             classes={"Other": 1}, falsified=True,
         )
-        monkeypatch.setattr(cli, "minimize", lambda space, shards, workers: fake)
+        # cmd_search looks minimize up in search when it runs.
+        monkeypatch.setattr(sumsetlab.search, "minimize",
+                            lambda space, shards, workers: fake)
         code, out, _ = run(capsys, "search", "--k", "4", "--h", "3", "--max", "9")
         assert code == 1
         assert "falsified=true" in out
@@ -372,7 +378,8 @@ class TestWitness:
             real.lemma, real.base_set, real.fold, real.target_kind,
             real.parts, real.claimed_total + 1,
         )
-        monkeypatch.setattr(cli, "generate", lambda *a, **kw: broken)
+        # cmd_witness looks generate up in witness when it runs.
+        monkeypatch.setattr(witness_mod, "generate", lambda *a, **kw: broken)
         code, out, _ = run(capsys, "witness", "--lemma", "odd-subsums", "--set", "1,3,5,7")
         assert code == 1
         assert "total_matches=false" in out
@@ -421,3 +428,64 @@ class TestOutputPlumbing:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert "--format" in err and "'yaml'" in err
+
+
+class TestImportFootprint:
+    """A fresh process loads what the command it runs needs, and no more;
+    the package still hands out every name it exports."""
+
+    SRC = str(Path(sumsetlab.__file__).resolve().parent.parent)
+
+    def loaded_after(self, *argv):
+        """(exit code, sys.modules) of a fresh process that runs cli.main."""
+        code = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {self.SRC!r})\n"
+            "from sumsetlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main({list(argv)!r})\n"
+            "print(rc, *sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=True)
+        rc, *modules = done.stdout.split()
+        return int(rc), set(modules)
+
+    def test_verify_loads_neither_search_nor_witness_nor_a_pool(self):
+        rc, modules = self.loaded_after("verify", "--set", "1,3,5,9", "--h", "3")
+        assert rc == 0
+        unwanted = {"concurrent.futures", "multiprocessing",
+                    "sumsetlab.search", "sumsetlab.witness"}
+        assert unwanted & modules == set()
+
+    def test_serial_search_loads_no_pool(self):
+        # 35 sets: too few for a second worker, so the scan stays in-process.
+        rc, modules = self.loaded_after("search", "--k", "4", "--h", "3",
+                                        "--max", "7", "--workers", "2")
+        assert rc == 0 and "sumsetlab.search" in modules
+        assert "concurrent.futures" not in modules
+
+    def test_every_export_resolves(self):
+        from sumsetlab import search, witness
+
+        for name in sumsetlab.__all__:
+            getattr(sumsetlab, name)
+        namespace = {}
+        exec("from sumsetlab import *", namespace)
+        assert set(sumsetlab.__all__) <= set(namespace)
+        assert sumsetlab.minimize is search.minimize
+        assert sumsetlab.ALL_LEMMAS is witness.ALL_LEMMAS
+        assert search.REGIME_ZERO == "zero"
+        with pytest.raises(AttributeError):
+            sumsetlab.no_such_name
+
+    def test_exports_follow_a_patched_module(self, monkeypatch):
+        # Never cached in the package, so a patch made in the defining
+        # module (as the benchmark tracer makes) is seen through it.
+        def traced(*args, **kwargs):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(sumsetlab.search, "minimize", traced)
+        assert sumsetlab.minimize is traced
+        monkeypatch.undo()
+        assert sumsetlab.minimize is sumsetlab.search.minimize

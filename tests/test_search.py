@@ -1,6 +1,8 @@
+import concurrent.futures
 import itertools
 import json
 import math
+import multiprocessing
 import time
 from collections import Counter
 
@@ -346,13 +348,13 @@ class TestPoolSizing:
         space = SearchSpace(4, 3, 37)
         assert space.total_sets // SETS_PER_WORKER == 2
         pools = []
-        real = search.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
-        def counting(max_workers):
+        def counting(max_workers, mp_context=None):
             pools.append(max_workers)
-            return real(max_workers=max_workers)
+            return real(max_workers=max_workers, mp_context=mp_context)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         for shards in (1, 2, 7):
             serial = minimize(space, shards=shards, workers=1).to_json()
@@ -377,13 +379,34 @@ class TestPoolSizing:
         space = SearchSpace(5, 4, 11)
         assert space.total_sets < 2 * SETS_PER_WORKER
 
-        def refuse(max_workers):
+        def refuse(max_workers, mp_context=None):
             raise AssertionError(f"pool of {max_workers} started for a small space")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         serial = minimize(space, shards=1, workers=1).to_json()
         for shards in (1, 2, 8):
             assert minimize(space, shards=shards, workers=8).to_json() == serial
+
+    def test_pool_forks_where_the_platform_offers_it(self, monkeypatch, in_process_pool):
+        # SETS_PER_WORKER was measured under fork; a platform without fork
+        # gets its default context.
+        space = SearchSpace(7, 5, 22)
+        in_process = concurrent.futures.ProcessPoolExecutor
+        methods = []
+
+        def recording(max_workers, mp_context=None):
+            methods.append(mp_context and mp_context.get_start_method())
+            return in_process(max_workers, mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        forked = minimize(space, shards=2, workers=2).to_json()
+        offered = "fork" in multiprocessing.get_all_start_methods()
+        assert methods == ["fork" if offered else None]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert minimize(space, shards=2, workers=2).to_json() == forked
+        assert methods[1:] == [None]
+        assert in_process_pool == [2, 2]
 
 
 class TestReportSerialization:
