@@ -49,7 +49,8 @@ from .bounds import (
 from .inverse import InverseVerdict, inverse_verdict
 
 # Resolved on each access (PEP 562), never cached here: a function patched
-# in its own module is then the one this package hands out.
+# in its own module is then the one this package hands out.  __all__ and
+# dir() list these names from here.
 _LAZY = {
     "WitnessChecks": "witness",
     "WitnessFamily": "witness",
@@ -66,6 +67,10 @@ def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])
 
 
 __all__ = [
@@ -102,14 +107,7 @@ __all__ = [
     "InverseVerdict",
     "inverse_verdict",
     "ALL_LEMMAS",
-    "WitnessChecks",
-    "WitnessFamily",
-    "WitnessPart",
-    "generate",
-    "ordering_guards_hold",
-    "SearchReport",
-    "SearchSpace",
-    "minimize",
+    *_LAZY,
 ]
 
 __version__ = "0.1.0"

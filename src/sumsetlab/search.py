@@ -379,15 +379,10 @@ def minimize(
     )
     args = ([space] * len(ranges), *zip(*ranges))
     if pool_size > 1:
-        # Imported here, so a serial scan never loads the pool.  Fork, where
-        # the platform offers it, is the start method SETS_PER_WORKER was
-        # measured under; Python 3.14 on Linux and macOS default to others.
-        import multiprocessing
+        # Imported here, so a serial scan never loads the pool.
         from concurrent.futures import ProcessPoolExecutor
 
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork") if fork else None
-        with ProcessPoolExecutor(max_workers=pool_size, mp_context=context) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_scan_shard, *args))
     else:
         results = list(map(_scan_shard, *args))

@@ -22,7 +22,7 @@ def in_process_pool(monkeypatch):
     pools = []
 
     class InProcess:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers):
             pools.append(max_workers)
 
         def __enter__(self):

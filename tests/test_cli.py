@@ -473,6 +473,7 @@ class TestImportFootprint:
         namespace = {}
         exec("from sumsetlab import *", namespace)
         assert set(sumsetlab.__all__) <= set(namespace)
+        assert set(sumsetlab.__all__) <= set(dir(sumsetlab))
         assert sumsetlab.minimize is search.minimize
         assert sumsetlab.ALL_LEMMAS is witness.ALL_LEMMAS
         assert search.REGIME_ZERO == "zero"

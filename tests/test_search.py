@@ -2,7 +2,6 @@ import concurrent.futures
 import itertools
 import json
 import math
-import multiprocessing
 import time
 from collections import Counter
 
@@ -350,9 +349,9 @@ class TestPoolSizing:
         pools = []
         real = concurrent.futures.ProcessPoolExecutor
 
-        def counting(max_workers, mp_context=None):
+        def counting(max_workers):
             pools.append(max_workers)
-            return real(max_workers=max_workers, mp_context=mp_context)
+            return real(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
@@ -379,34 +378,13 @@ class TestPoolSizing:
         space = SearchSpace(5, 4, 11)
         assert space.total_sets < 2 * SETS_PER_WORKER
 
-        def refuse(max_workers, mp_context=None):
+        def refuse(max_workers):
             raise AssertionError(f"pool of {max_workers} started for a small space")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         serial = minimize(space, shards=1, workers=1).to_json()
         for shards in (1, 2, 8):
             assert minimize(space, shards=shards, workers=8).to_json() == serial
-
-    def test_pool_forks_where_the_platform_offers_it(self, monkeypatch, in_process_pool):
-        # SETS_PER_WORKER was measured under fork; a platform without fork
-        # gets its default context.
-        space = SearchSpace(7, 5, 22)
-        in_process = concurrent.futures.ProcessPoolExecutor
-        methods = []
-
-        def recording(max_workers, mp_context=None):
-            methods.append(mp_context and mp_context.get_start_method())
-            return in_process(max_workers, mp_context)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-        forked = minimize(space, shards=2, workers=2).to_json()
-        offered = "fork" in multiprocessing.get_all_start_methods()
-        assert methods == ["fork" if offered else None]
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert minimize(space, shards=2, workers=2).to_json() == forked
-        assert methods[1:] == [None]
-        assert in_process_pool == [2, 2]
 
 
 class TestReportSerialization:
