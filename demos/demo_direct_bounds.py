@@ -19,7 +19,7 @@ print()
 
 print("Odd progressions meet the main formula exactly:")
 for k in range(4, 8):
-    A = DilatedOddProgression(d=1).reconstruct(k)
+    A = DilatedOddProgression(1).reconstruct(k)
     for h in range(3, k):
         result = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
         [report] = [r for r in check_bounds(A, h, result.cardinality) if r.id == "RSS_direct"]

@@ -20,15 +20,10 @@ from .errors import (
     SumsetLabError,
     TooSmall,
     VariantMismatch,
-    ZeroDilation,
-    ZeroElement,
 )
 from .intset import (
     IntegerSet,
     SumsetResult,
-    canonicalize,
-    dilate,
-    abs_set,
     subsums,
     classify_structure,
 )
@@ -36,7 +31,6 @@ from .engine import (
     SumsetVariant,
     compute_oracle,
     compute_dp,
-    independence_number,
 )
 from .bounds import (
     ALL_LEMMAS,
@@ -76,13 +70,11 @@ def __dir__():
 __all__ = [
     "SumsetLabError",
     "EmptyInput",
-    "ZeroDilation",
     "Overflow",
     "SizeCapExceeded",
     "TooSmall",
     "FoldTooLarge",
     "CostCapExceeded",
-    "ZeroElement",
     "VariantMismatch",
     "BadParams",
     "HypothesisViolated",
@@ -90,15 +82,11 @@ __all__ = [
     "SpaceTooLarge",
     "IntegerSet",
     "SumsetResult",
-    "canonicalize",
-    "dilate",
-    "abs_set",
     "subsums",
     "classify_structure",
     "SumsetVariant",
     "compute_oracle",
     "compute_dp",
-    "independence_number",
     "BoundCatalogEntry",
     "BoundReport",
     "bound_catalogue",

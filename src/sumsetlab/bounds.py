@@ -13,9 +13,7 @@ the CLI builds its parser without loading the search or the witnesses.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import SumsetVariant
 from .errors import BadParams, VariantMismatch
@@ -29,8 +27,7 @@ from .intset import (
 )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """The structure equality at a bound forces, in words and as a predicate.
 
     The forced sets are the members of `family` (a structure class of
@@ -45,8 +42,7 @@ class Prediction:
         return self.family.match(elements) is not None and self.narrow(elements)
 
 
-@dataclass(frozen=True)
-class BoundCatalogEntry:
+class BoundCatalogEntry(NamedTuple):
     """One direct bound: formula in (k, h) guarded by a hypothesis predicate.
 
     Entries with an inverse theorem name its `regime`; that theorem covers
@@ -72,8 +68,7 @@ class BoundCatalogEntry:
         return next(p for at, p in self.equality if at is None or at == h)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of checking one catalogue entry against an observed sumset."""
 
     id: str
@@ -85,8 +80,18 @@ class BoundReport:
     met: bool
 
     def to_dict(self) -> dict:
-        # The fields in declaration order; asdict would deep-copy each one.
-        return dict(vars(self))
+        return self._asdict()
+
+
+def dump_json(doc) -> str:
+    """doc as the reports' indented JSON.
+
+    json is imported on the first call, so a process that writes only text
+    reports never loads it.
+    """
+    import json
+
+    return json.dumps(doc, indent=2)
 
 
 def direct_window(k: int, h: int) -> bool:
@@ -384,7 +389,7 @@ def catalogue_to_json() -> str:
         }
         for entry in _ENTRIES
     ]
-    return json.dumps(doc, indent=2)
+    return dump_json(doc)
 
 
 def check_bounds(

@@ -22,6 +22,7 @@ from .bounds import (
     catalogue_entry,
     catalogue_to_json,
     check_bounds,
+    dump_json,
 )
 from .engine import SumsetVariant, compute_dp
 from .errors import BadParams, RegimeUnsupported, SumsetLabError
@@ -60,12 +61,6 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _json_dumps(doc) -> str:
-    import json
-
-    return json.dumps(doc, indent=2)
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -90,7 +85,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             raise BadParams(f"--variant {args.variant} needs --h")
         result = compute_dp(A, SumsetVariant.from_name(args.variant), args.h)
     if args.format == "json":
-        text = _json_dumps(
+        text = dump_json(
             {"values": list(result.values), "cardinality": result.cardinality}
         )
     else:
@@ -132,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "inverse": verdict.to_dict() if verdict else None,
             "falsified": falsified,
         }
-        text = _json_dumps(doc)
+        text = dump_json(doc)
     else:
         lines = [
             f"set={A} k={len(A)} h={h}",
@@ -205,7 +200,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     guards = ordering_guards_hold(family)
     passed = checks.all_pass() and guards
     if args.format == "json":
-        text = _json_dumps(family.to_dict(checks))
+        text = dump_json(family.to_dict(checks))
     else:
         lines = [f"lemma={family.lemma} set={A} fold={family.fold}"]
         for part in family.parts:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import enum
 import math
 from itertools import combinations, combinations_with_replacement
-from typing import Optional
 
-from .errors import BadParams, CostCapExceeded, FoldTooLarge, ZeroElement
+from .errors import BadParams, CostCapExceeded, FoldTooLarge
 from .intset import IntegerSet, SumsetResult
 
 # Fold counts beyond this are rejected; with |a| <= 2^40 it keeps every
@@ -30,6 +29,10 @@ MAX_FOLD = 64
 
 # Hard ceiling on admissible coefficient vectors for the oracle route.
 ORACLE_COST_CAP = 10**8
+
+# Most bits a dense DP's layer tables may hold (256 MiB): compute_dp's, and
+# a search shard's (see search.SearchSpace.table_bits).
+TABLE_BITS_CAP = 2**31
 
 
 class SumsetVariant(enum.Enum):
@@ -173,10 +176,17 @@ def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
     table over [-h*max|a|, h*max|a|] (bit position = value + offset).
     Elements are folded in one at a time; restricted variants consume weight
     1 per element, PLAIN and SIGNED spend weight equal to the multiplicity.
+    Tables over TABLE_BITS_CAP bits in all raise CostCapExceeded before
+    anything is allocated.
     """
     _check_fold(A, variant, h)
     e = A.elements
     offset = h * max(abs(e[0]), abs(e[-1]))
+    bits = (h + 1) * (2 * offset + 1)
+    if bits > TABLE_BITS_CAP:
+        raise CostCapExceeded(
+            f"DP tables would hold {bits} bits (cap {TABLE_BITS_CAP})"
+        )
     dp = [0] * (h + 1)
     dp[0] = 1 << offset
 
@@ -204,22 +214,4 @@ def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
                         dp[j] |= _shift(base, delta) | _shift(base, -delta)
 
     return SumsetResult(_bits_to_values(dp[h], offset), dp[h].bit_count())
-
-
-def independence_number(A: IntegerSet, t_max: int) -> Optional[int]:
-    """Largest t <= t_max with 0 outside every signed h-fold sumset, h <= t.
-
-    Returns None when even t_max qualifies (the true value is >= t_max and
-    this scan cannot certify it).
-    """
-    if 0 in A:
-        raise ZeroElement("independence number needs 0 outside the set")
-    if t_max < 1:
-        raise BadParams(f"t_max must be >= 1, got {t_max}")
-    if t_max > MAX_FOLD:
-        raise FoldTooLarge(f"t_max {t_max} exceeds supported cap {MAX_FOLD}")
-    for h in range(1, t_max + 1):
-        if 0 in compute_dp(A, SumsetVariant.SIGNED, h):
-            return h - 1
-    return None
 

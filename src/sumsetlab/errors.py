@@ -13,10 +13,6 @@ class EmptyInput(SumsetLabError):
     """An integer set was constructed from no elements."""
 
 
-class ZeroDilation(SumsetLabError):
-    """Dilation by 0 would collapse the set and is rejected."""
-
-
 class Overflow(SumsetLabError):
     """An element or product left the supported magnitude range."""
 
@@ -34,11 +30,8 @@ class FoldTooLarge(SumsetLabError):
 
 
 class CostCapExceeded(SumsetLabError):
-    """The brute-force oracle would enumerate too many coefficient vectors."""
-
-
-class ZeroElement(SumsetLabError):
-    """The operation requires 0 to be absent from the set."""
+    """The oracle would enumerate too many coefficient vectors, or the DP
+    would allocate tables over the bit budget."""
 
 
 class VariantMismatch(SumsetLabError):

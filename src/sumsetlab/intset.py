@@ -2,23 +2,18 @@
 
 An IntegerSet is an immutable strictly increasing tuple of integers.  All
 other modules consume this type, so deduplication, ordering and the supported
-magnitude range are enforced in exactly one place.
+magnitude range are enforced in exactly one place.  IntegerSet, SumsetResult,
+the structure families and the search's SearchSpace are Values: tuples of
+their fields that compare equal only within their own class.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import (
-    BadParams,
-    EmptyInput,
-    Overflow,
-    SizeCapExceeded,
-    TooSmall,
-    ZeroDilation,
-)
+from .errors import BadParams, EmptyInput, Overflow, SizeCapExceeded, TooSmall
 
 # Accepted element magnitude.  Together with the fold cap of 64 this keeps
 # every internal sum strictly inside signed 64-bit range.
@@ -26,6 +21,51 @@ MAX_ELEMENT = 1 << 40
 
 # Practical ceiling for subset-sum enumeration.
 SUBSUMS_SIZE_CAP = 30
+
+
+class Value(tuple):
+    """Base of the immutable value classes.
+
+    An instance is the tuple of its fields, which a subclass names with
+    `field`.  Every subclass sets `__slots__ = ()`, so an instance has no
+    attribute dict and assigning to it raises AttributeError.  Unlike a
+    plain tuple, a Value equals only an instance of its own class with equal
+    fields, and it is always truthy.  Construction, unpickling included,
+    calls `__post_init__`, the subclass's validation; bench/tracer.py times
+    validation by wrapping that method on each class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        self = tuple.__new__(cls, fields)
+        self.__post_init__()
+        return self
+
+    def __post_init__(self) -> None:
+        """Validate the fields; the base accepts any."""
+
+    def __getnewargs__(self) -> tuple:
+        return self[:]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self[:]))})"
+
+
+def field(index: int) -> property:
+    """The read-only attribute of a Value's field at `index`."""
+    return property(itemgetter(index))
 
 
 def _check_element(value: int) -> int:
@@ -36,11 +76,11 @@ def _check_element(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class IntegerSet:
+class IntegerSet(Value):
     """A finite set of integers kept as a strictly increasing tuple."""
 
-    elements: tuple[int, ...]
+    __slots__ = ()
+    elements = field(0)
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -84,17 +124,17 @@ class IntegerSet:
         return "{" + ",".join(str(a) for a in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class SumsetResult:
+class SumsetResult(Value):
     """Value set of a sumset computation: sorted values plus cardinality."""
 
-    values: tuple[int, ...]
-    cardinality: int
+    __slots__ = ()
+    values, cardinality = field(0), field(1)
 
     def __post_init__(self) -> None:
-        if self.cardinality != len(self.values):
+        values = self.values
+        if self.cardinality != len(values):
             raise BadParams("cardinality must equal the number of values")
-        if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise BadParams("values must be strictly increasing")
 
     @classmethod
@@ -115,26 +155,6 @@ class SumsetResult:
         return i < len(self.values) and self.values[i] == value
 
 
-def canonicalize(raw: Iterable[int]) -> IntegerSet:
-    """Sort, deduplicate and validate raw integers into an IntegerSet."""
-    ordered = tuple(sorted(set(raw)))
-    if not ordered:
-        raise EmptyInput("an integer set needs at least one element")
-    return IntegerSet(ordered)
-
-
-def dilate(A: IntegerSet, c: int) -> IntegerSet:
-    """Multiply every element by c (c != 0)."""
-    if c == 0:
-        raise ZeroDilation("dilation factor must be nonzero")
-    return canonicalize(c * a for a in A.elements)
-
-
-def abs_set(A: IntegerSet) -> IntegerSet:
-    """Elementwise absolute value, deduplicated."""
-    return canonicalize(abs(a) for a in A.elements)
-
-
 def subsums(A: IntegerSet) -> SumsetResult:
     """All subset sums of A, including 0 for the empty subset."""
     if len(A) > SUBSUMS_SIZE_CAP:
@@ -150,11 +170,11 @@ def subsums(A: IntegerSet) -> SumsetResult:
 # --- structure classification ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class DilatedOddProgression:
+class DilatedOddProgression(Value):
     """d*{1, 3, ..., 2k-1} for a positive integer d."""
 
-    d: int
+    __slots__ = ()
+    d = field(0)
 
     @classmethod
     def match(cls, elements: tuple[int, ...]) -> Optional["DilatedOddProgression"]:
@@ -170,12 +190,11 @@ class DilatedOddProgression:
         return f"DilatedOddProgression(d={self.d})"
 
 
-@dataclass(frozen=True)
-class ArithmeticProgression:
+class ArithmeticProgression(Value):
     """first, first+diff, ... with diff > 0."""
 
-    first: int
-    diff: int
+    __slots__ = ()
+    first, diff = field(0), field(1)
 
     @classmethod
     def match(cls, elements: tuple[int, ...]) -> Optional["ArithmeticProgression"]:
@@ -191,13 +210,11 @@ class ArithmeticProgression:
         return f"ArithmeticProgression(first={self.first},diff={self.diff})"
 
 
-@dataclass(frozen=True)
-class SumClosure4:
+class SumClosure4(Value):
     """{a1, a2, a3, a1+a2+a3}."""
 
-    a1: int
-    a2: int
-    a3: int
+    __slots__ = ()
+    a1, a2, a3 = map(field, range(3))
 
     @classmethod
     def match(cls, elements: tuple[int, ...]) -> Optional["SumClosure4"]:
@@ -209,13 +226,11 @@ class SumClosure4:
         return f"SumClosure4(a1={self.a1},a2={self.a2},a3={self.a3})"
 
 
-@dataclass(frozen=True)
-class DiffClosure4:
+class DiffClosure4(Value):
     """{a1, a2, a3, a3+a2-a1}."""
 
-    a1: int
-    a2: int
-    a3: int
+    __slots__ = ()
+    a1, a2, a3 = map(field, range(3))
 
     @classmethod
     def match(cls, elements: tuple[int, ...]) -> Optional["DiffClosure4"]:
@@ -227,9 +242,10 @@ class DiffClosure4:
         return f"DiffClosure4(a1={self.a1},a2={self.a2},a3={self.a3})"
 
 
-@dataclass(frozen=True)
-class Other:
+class Other(Value):
     """No recognized structure; matches every set."""
+
+    __slots__ = ()
 
     @classmethod
     def match(cls, elements: tuple[int, ...]) -> "Other":

@@ -15,7 +15,7 @@ the sumset, compares against the bound and reports one of:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import BoundCatalogEntry, bound_catalogue
 from .engine import SumsetVariant, compute_dp
@@ -28,8 +28,7 @@ STRICT_INEQUALITY = "StrictInequality"
 BOUND_VIOLATED = "BoundViolated"
 
 
-@dataclass(frozen=True)
-class InverseVerdict:
+class InverseVerdict(NamedTuple):
     verdict: str
     regime: str
     k: int
@@ -41,8 +40,7 @@ class InverseVerdict:
     prediction_holds: bool
 
     def to_dict(self) -> dict:
-        # The fields in declaration order; asdict would deep-copy each one.
-        return {**vars(self), "classification": str(self.classification)}
+        return {**self._asdict(), "classification": str(self.classification)}
 
 
 def _resolve_regime(A: IntegerSet, h: int) -> BoundCatalogEntry:

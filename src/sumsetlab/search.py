@@ -47,12 +47,10 @@ set of the space, never from the catalogue bound the search tests.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import (
     REGIME_POSITIVE,
@@ -60,16 +58,15 @@ from .bounds import (
     BoundCatalogEntry,
     catalogue_entry,
     direct_window,
+    dump_json,
 )
-from .engine import MAX_FOLD, fold_restricted
+from .engine import MAX_FOLD, TABLE_BITS_CAP, fold_restricted
 from .errors import BadParams, FoldTooLarge, SpaceTooLarge
-from .intset import MAX_ELEMENT, IntegerSet, classify_structure
+from .intset import MAX_ELEMENT, IntegerSet, Value, classify_structure, field
 
 OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 
 SPACE_CAP = 10**9
-# Most bits a shard's layer tables may hold (256 MiB); see SearchSpace.table_bits.
-TABLE_BITS_CAP = 2**31
 MINIMIZER_CAP = 64
 
 # Fewest sets worth a pool worker.  Measured with minimize at shards=2,
@@ -84,16 +81,22 @@ MINIMIZER_CAP = 64
 SETS_PER_WORKER = 30_000
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(Value):
     """All k-element sets of a regime with elements bounded by max_element."""
 
-    k: int
-    h: int
-    max_element: int
-    regime: str = REGIME_POSITIVE
-    gcd_reduce: bool = True
-    allow_any_fold: bool = False
+    __slots__ = ()
+    k, h, max_element, regime, gcd_reduce, allow_any_fold = map(field, range(6))
+
+    def __new__(
+        cls,
+        k: int,
+        h: int,
+        max_element: int,
+        regime: str = REGIME_POSITIVE,
+        gcd_reduce: bool = True,
+        allow_any_fold: bool = False,
+    ) -> "SearchSpace":
+        return super().__new__(cls, k, h, max_element, regime, gcd_reduce, allow_any_fold)
 
     def __post_init__(self) -> None:
         if self.regime not in (REGIME_POSITIVE, REGIME_ZERO):
@@ -201,8 +204,7 @@ def _shard_ranges(space: SearchSpace, shards: int) -> list[tuple[int, int]]:
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-@dataclass(frozen=True)
-class _ShardResult:
+class _ShardResult(NamedTuple):
     minimum: Optional[int]
     minimizer_count: int
     minimizers: tuple[tuple[int, ...], ...]
@@ -307,8 +309,7 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     )
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     k: int
     h: int
     max_element: int
@@ -340,7 +341,7 @@ class SearchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dump_json(self.to_dict())
 
     def to_csv(self) -> str:
         row = (
@@ -368,6 +369,12 @@ def minimize(
     upper bound: a pool gets at most one worker per shard, per
     SETS_PER_WORKER sets and per CPU, and a space too small for two is
     scanned in-process.
+
+    A script that runs a pooled minimize must call it under
+    `if __name__ == "__main__":`.  Under the spawn and forkserver start
+    methods (the defaults on macOS and, from Python 3.14, on Linux) each
+    worker re-imports the script's main module, and without the guard the
+    search ends in BrokenProcessPool.
     """
     if workers is not None and workers < 1:
         raise BadParams(f"need at least 1 worker, got {workers}")

@@ -21,8 +21,7 @@ falsification event to report, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import (
     ALL_LEMMAS,
@@ -45,15 +44,13 @@ TARGET_RSS = "rss"
 TARGET_SUBSUMS = "subsums"
 
 
-@dataclass(frozen=True)
-class WitnessPart:
+class WitnessPart(NamedTuple):
     name: str
     values: tuple[int, ...]
     branch: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class WitnessChecks:
+class WitnessChecks(NamedTuple):
     disjoint: bool
     contained: bool
     total_matches: bool
@@ -63,8 +60,7 @@ class WitnessChecks:
         return self.disjoint and self.contained and self.total_matches
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class WitnessFamily(NamedTuple):
     lemma: str
     base_set: IntegerSet
     fold: int

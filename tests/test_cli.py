@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -458,6 +460,17 @@ class TestImportFootprint:
                     "sumsetlab.search", "sumsetlab.witness"}
         assert unwanted & modules == set()
 
+    @pytest.mark.parametrize("argv, unwanted", [
+        (("verify", "--set", "1,3,5,9", "--h", "3"), {"dataclasses", "inspect", "json"}),
+        (("compute", "--set", "1,3,5,9", "--h", "3"), {"dataclasses", "inspect", "json"}),
+        (("bounds",), {"dataclasses", "inspect", "json"}),
+        (("search", "--k", "4", "--h", "3", "--max", "7", "--workers", "1"), {"dataclasses"}),
+    ], ids=["verify", "compute", "bounds", "search"])
+    def test_text_reports_load_neither_dataclasses_nor_json(self, argv, unwanted):
+        rc, modules = self.loaded_after(*argv)
+        assert rc == 0
+        assert unwanted & modules == set()
+
     def test_serial_search_loads_no_pool(self):
         # 35 sets: too few for a second worker, so the scan stays in-process.
         rc, modules = self.loaded_after("search", "--k", "4", "--h", "3",
@@ -490,3 +503,74 @@ class TestImportFootprint:
         assert sumsetlab.minimize is traced
         monkeypatch.undo()
         assert sumsetlab.minimize is sumsetlab.search.minimize
+
+
+class TestCapProbes:
+    """A call over a documented cap fails fast with a typed error.  The probe
+    runs in a child whose address space is capped, so a cap that admits the
+    allocation fails the test instead of exhausting the runner's memory."""
+
+    SRC = TestImportFootprint.SRC
+
+    def probe(self, *argv):
+        code = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            f"sys.path.insert(0, {self.SRC!r})\n"
+            "from sumsetlab import cli\n"
+            "t0 = time.perf_counter()\n"
+            f"rc = cli.main({list(argv)!r})\n"
+            "print(rc, time.perf_counter() - t0)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=False)
+        assert done.stdout, done.stderr
+        rc, seconds = done.stdout.split()
+        return int(rc), float(seconds), done.stderr
+
+    def test_dense_plain_fold_over_the_table_budget(self):
+        # (h+1) * (2h * 2^40 + 1) bits at h = 64: a 2^46-bit table.
+        rc, seconds, err = self.probe("compute", "--set", "1,1099511627776",
+                                      "--variant", "plain", "--h", "64")
+        assert rc == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert seconds < 0.1
+
+
+class TestWorkflowCommands:
+    """Every command line CI runs still parses: `sumsetlab` lines through the
+    CLI's parser, and `python bench/run.py` flags against that script's
+    --help.  A renamed or deleted flag then fails here, not in CI."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def command_lines(self):
+        text = (self.ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        for line in text.splitlines():
+            line = re.sub(r"^\s*(-\s+)?(run:)?\s*", "", line)
+            if not line.startswith(("sumsetlab ", "python ", "PYTHONPATH=")):
+                continue
+            words = []
+            for word in shlex.split(line):
+                if word in (">", "||", "&&", "|", ";"):
+                    break
+                words.append(word)
+            while "=" in words[0] and not words[0].startswith("-"):
+                words.pop(0)  # an environment assignment
+            yield words
+
+    def test_sumsetlab_lines_parse(self):
+        parser = cli.build_parser()
+        lines = [w[1:] for w in self.command_lines() if w[0] == "sumsetlab"]
+        assert len(lines) >= 5
+        for argv in lines:
+            parser.parse_args(argv)
+
+    def test_bench_flags_exist(self):
+        lines = [w[2:] for w in self.command_lines() if w[:2] == ["python", "bench/run.py"]]
+        assert len(lines) >= 5
+        done = subprocess.run([sys.executable, "bench/run.py", "--help"], cwd=self.ROOT,
+                              capture_output=True, text=True, timeout=60, check=True)
+        known = set(re.findall(r"--[a-z][-a-z]*", done.stdout))
+        for argv in lines:
+            assert {w for w in argv if w.startswith("--")} <= known, argv

@@ -6,17 +6,16 @@ import pytest
 from sumsetlab.engine import (
     MAX_FOLD,
     ORACLE_COST_CAP,
+    TABLE_BITS_CAP,
     SumsetVariant,
     compute_dp,
     compute_oracle,
-    independence_number,
     oracle_cost,
 )
 from sumsetlab.errors import (
     BadParams,
     CostCapExceeded,
     FoldTooLarge,
-    ZeroElement,
 )
 from sumsetlab.intset import IntegerSet
 
@@ -52,6 +51,19 @@ class TestFoldValidation:
     @pytest.mark.parametrize("variant", (SumsetVariant.PLAIN, SumsetVariant.SIGNED))
     def test_unrestricted_allows_h_over_k(self, variant):
         assert compute_dp(IntegerSet((1, 2)), variant, 3).cardinality > 0
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_table_budget(self, variant):
+        # (h+1) * (2h * max|a| + 1) bits: 2^46 at h = 64 on {1, 2^40}, and
+        # just over the budget at h = 1 on {1, 2^29}.
+        with pytest.raises(CostCapExceeded):
+            compute_dp(IntegerSet((1, 2**40)), variant, 2 if variant in RESTRICTED_VARIANTS else 64)
+        with pytest.raises(CostCapExceeded):
+            compute_dp(IntegerSet((-(2**29), 1)), variant, 1)
+        assert 2 * (2 * 2**29 + 1) > TABLE_BITS_CAP >= 2 * (2 * (2**29 - 1) + 1)
+        # Checked after the fold count, which is reported first.
+        with pytest.raises(FoldTooLarge):
+            compute_dp(IntegerSet((1, 2**40)), variant, MAX_FOLD + 1)
 
 
 class TestKnownValues:
@@ -148,31 +160,3 @@ class TestDualRoutes:
                     compute_oracle(A, variant, h).values
                     == compute_dp(A, variant, h).values
                 )
-
-
-class TestIndependenceNumber:
-    def test_known_values(self):
-        assert independence_number(IntegerSet((1, 2)), 10) == 2
-        assert independence_number(IntegerSet((2, 3)), 10) == 4
-
-    def test_unresolved_returns_none(self):
-        assert independence_number(IntegerSet((1,)), 10) is None
-
-    def test_zero_element_rejected(self):
-        with pytest.raises(ZeroElement):
-            independence_number(IntegerSet((0, 1)), 5)
-
-    def test_t_max_validation(self):
-        with pytest.raises(BadParams):
-            independence_number(IntegerSet((1, 2)), 0)
-        with pytest.raises(FoldTooLarge):
-            independence_number(IntegerSet((1, 2)), MAX_FOLD + 1)
-
-    def test_scan_is_consistent_with_signed_folds(self):
-        A = IntegerSet((3, 5))
-        t = independence_number(A, 12)
-        assert t is not None
-        for h in range(1, t + 1):
-            assert 0 not in compute_dp(A, SumsetVariant.SIGNED, h)
-        assert 0 in compute_dp(A, SumsetVariant.SIGNED, t + 1)
-

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from sumsetlab.errors import (
@@ -6,7 +8,6 @@ from sumsetlab.errors import (
     Overflow,
     SizeCapExceeded,
     TooSmall,
-    ZeroDilation,
 )
 from sumsetlab.intset import (
     MAX_ELEMENT,
@@ -17,12 +18,10 @@ from sumsetlab.intset import (
     Other,
     SumClosure4,
     SumsetResult,
-    abs_set,
-    canonicalize,
     classify_structure,
-    dilate,
     subsums,
 )
+from sumsetlab.search import SearchSpace
 
 
 class TestIntegerSet:
@@ -88,22 +87,6 @@ class TestSumsetResult:
 
 
 class TestHelpers:
-    def test_canonicalize(self):
-        assert canonicalize([5, -2, 5, 0]).elements == (-2, 0, 5)
-        with pytest.raises(EmptyInput):
-            canonicalize([])
-
-    def test_dilate(self):
-        A = IntegerSet((1, 3, 5))
-        assert dilate(A, 2).elements == (2, 6, 10)
-        assert dilate(A, -1).elements == (-5, -3, -1)
-        with pytest.raises(ZeroDilation):
-            dilate(A, 0)
-
-    def test_abs_set(self):
-        assert abs_set(IntegerSet((-3, -1, 2))).elements == (1, 2, 3)
-        assert abs_set(IntegerSet((-2, 2))).elements == (2,)
-
     def test_subsums_exact(self):
         r = subsums(IntegerSet((1, 3, 5)))
         assert r.values == (0, 1, 3, 4, 5, 6, 8, 9)
@@ -170,3 +153,57 @@ class TestClassification:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             classify_structure(IntegerSet((7,)))
+
+
+class TestValueSemantics:
+    """The value classes keep what frozen dataclasses gave them, although
+    each is a tuple of its fields: a plain NamedTuple would fail here."""
+
+    VALUES = [
+        IntegerSet((1, 3, 5)),
+        SumsetResult((-2, 0, 2), 3),
+        SearchSpace(4, 3, 9),
+        DilatedOddProgression(1),
+        ArithmeticProgression(0, 2),
+        SumClosure4(1, 3, 5),
+        DiffClosure4(1, 3, 7),
+        Other(),
+    ]
+
+    def test_families_with_equal_fields_differ(self):
+        # {0,1,2,3} is both a sum closure (3 = 0+1+2) and a difference
+        # closure (3 = 2+1-0), with the same three fields.
+        sums, diffs = SumClosure4.match((0, 1, 2, 3)), DiffClosure4.match((0, 1, 2, 3))
+        assert sums == SumClosure4(0, 1, 2) and diffs == DiffClosure4(0, 1, 2)
+        assert sums != diffs and not sums == diffs
+        assert len({sums, diffs}) == 2
+
+    def test_equal_only_to_its_own_class(self):
+        A = IntegerSet((1, 3, 5))
+        assert A == IntegerSet((1, 3, 5)) and hash(A) == hash(IntegerSet((1, 3, 5)))
+        assert A != ((1, 3, 5),) and A != (1, 3, 5)
+        assert ((1, 3, 5),) != A
+        assert SearchSpace(4, 3, 9) == SearchSpace(k=4, h=3, max_element=9)
+        assert SearchSpace(4, 3, 9) != (4, 3, 9, "positive", True, False)
+
+    def test_other_is_truthy(self):
+        assert bool(Other())
+        assert all(self.VALUES)
+
+    @pytest.mark.parametrize("value, name", [
+        (IntegerSet((1, 3, 5)), "elements"),
+        (SumsetResult((-2, 0, 2), 3), "cardinality"),
+        (SearchSpace(4, 3, 9), "k"),
+        (SumClosure4(1, 3, 5), "a1"),
+        (Other(), "d"),
+    ], ids=["IntegerSet", "SumsetResult", "SearchSpace", "SumClosure4", "Other"])
+    def test_attributes_cannot_be_set(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)

@@ -2,13 +2,16 @@ import concurrent.futures
 import itertools
 import json
 import math
+import pickle
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab.bounds import Prediction
-from sumsetlab.engine import SumsetVariant, compute_dp
+from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle, fold_restricted
 from sumsetlab.errors import BadParams, FoldTooLarge, SpaceTooLarge
 from sumsetlab.intset import IntegerSet, classify_structure
 from sumsetlab import search
@@ -18,6 +21,7 @@ from sumsetlab.search import (
     TABLE_BITS_CAP,
     SearchSpace,
     _scan_shard,
+    _ShardResult,
     _shard_ranges,
     minimize,
 )
@@ -57,6 +61,55 @@ def one_free(max_element):
     """A space whose largest free element is its only one: C(t, 1) = t sets
     have a largest element <= t."""
     return SearchSpace(2, 2, max_element, "zero", allow_any_fold=True)
+
+
+class TestPruneFloors:
+    """The walk's three floors hold for every completion, and the two weaker
+    ones are never attained, so no set that `>=` in place of their `>`
+    would cut can tie the running minimum: the two prunes cannot be told
+    apart by any report, and no tie can be pinned against them.
+
+    A completion A is a suffix B plus p >= 2 distinct positive elements C
+    below B's positive ones (B may hold the zero regime's pinned 0).
+    - |L_{h-2}(B)| + 1: for c > c' in C, A's fold holds L_{h-2}(B) moved by
+      the four distinct shifts +-(c + c') and +-(c - c'), so it counts at
+      least |L_{h-2}(B)| + 3.
+    - |X| + 2p - 1, X = L_{h-1}(B), T = {+-c : c in C}: if B's h largest
+      elements are positive, L_h(B) has a sum above max X + max C, outside
+      X + T.  Otherwise X = {0} (B = {0}, h = 2; then A's fold also holds
+      max C + min C, outside T), or X's two largest sums differ by b or 2b
+      for b = min(B - {0}).  |X + T| = |X| + |T| - 1 would need X and T to
+      be progressions of one difference (the equality case of the sumset
+      inequality), 2 * min C for the symmetric T; but b > max C >= 3 * min C.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_floors_are_sound_and_strict(self, data):
+        zero = data.draw(st.booleans(), label="zero")
+        positives = data.draw(st.lists(st.integers(3, 30), min_size=0 if zero else 1,
+                                       max_size=4, unique=True), label="B")
+        below = min(positives, default=31)
+        p = data.draw(st.integers(2, min(4, below - 1)), label="p")
+        C = data.draw(st.lists(st.integers(1, below - 1), min_size=p, max_size=p,
+                               unique=True), label="C")
+        # Fold B top level first, as _scan_shard does: the pinned 0 above
+        # the largest free element, and at level q only layers h - q and up.
+        order = [0] * zero + sorted(positives, reverse=True)
+        k = len(order) + p
+        h = data.draw(st.integers(1, k), label="h")
+        layer = [1 << h * max(order)] + [0] * h
+        for q, a in zip(range(k - 1, p - 1, -1), order):
+            fold_restricted(layer, a, True, max(1, h - q))
+        A = IntegerSet(tuple(sorted(order + C)))
+        count = compute_oracle(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
+        mid = layer[h - 1]
+        low = layer[h - 2] if h > 1 else 0
+        assert layer[h].bit_count() <= count
+        if mid:
+            assert mid.bit_count() + 2 * p - 1 < count
+        if low:
+            assert low.bit_count() + 1 < count
 
 
 class TestPartitionWork:
@@ -404,3 +457,11 @@ class TestReportSerialization:
         lines = report.to_csv().splitlines()
         assert lines[0] == "k,h,N,regime,min,bound,slack,minimizer_count,falsified"
         assert lines[1] == "4,3,9,positive,16,16,0,1,false"
+
+    def test_pickle_round_trip(self):
+        # Both cross the process boundary of a pooled search.
+        space = SearchSpace(5, 3, 12, regime="zero")
+        shard = _scan_shard(space, 4, 12)
+        assert pickle.loads(pickle.dumps(space)) == space
+        assert pickle.loads(pickle.dumps(shard)) == shard
+        assert isinstance(shard, _ShardResult) and shard.minimizer_count > 0

@@ -1,8 +1,10 @@
 """The library is pure Python with exact integer arithmetic: no float or
 complex literal, no true division, no use of `float`, and no import from
-outside the standard library anywhere under src/sumsetlab."""
+outside the standard library anywhere under src/sumsetlab.  Every name the
+package exports has a caller outside its own definition."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -49,3 +51,30 @@ def test_checker_flags(snippet):
 def test_checker_allows_integer_code():
     code = "from __future__ import annotations\nimport math\nfrom .engine import x\ny = a // b"
     assert impurities(ast.parse(code)) == []
+
+
+ROOT = SOURCES[0].parent.parent.parent
+
+
+def loaded_names(path: Path) -> set[str]:
+    """Every name a module reads, as a bare name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    """Each name in __all__ is read in src/ (not counting __init__, and a
+    definition is no read), in demos/, or named in the README."""
+    import sumsetlab
+
+    used = set()
+    for path in [p for p in SOURCES if p.name != "__init__.py"] + sorted(ROOT.glob("demos/*.py")):
+        used |= loaded_names(path)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used |= set(re.findall(r"\w+", readme))
+    assert sorted(set(sumsetlab.__all__) - used) == []

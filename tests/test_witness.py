@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -261,11 +260,11 @@ class TestOrderingGuards:
     @staticmethod
     def shifted(family, name, delta):
         parts = tuple(
-            dataclasses.replace(p, values=tuple(v + delta for v in p.values))
+            p._replace(values=tuple(v + delta for v in p.values))
             if p.name == name else p
             for p in family.parts
         )
-        return dataclasses.replace(family, parts=parts)
+        return family._replace(parts=parts)
 
     @pytest.mark.parametrize("family, name, delta", [
         (witness_parity_split(IntegerSet((2, 4, 5, 6, 8)), 4, 3), "block-0", 10**6),
