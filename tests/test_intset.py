@@ -156,8 +156,9 @@ class TestClassification:
 
 
 class TestValueSemantics:
-    """The value classes keep what frozen dataclasses gave them, although
-    each is a tuple of its fields: a plain NamedTuple would fail here."""
+    """Each value class is a tuple of its fields, yet equals only its own
+    class, is truthy, immutable and picklable: a plain NamedTuple would
+    fail here."""
 
     VALUES = [
         IntegerSet((1, 3, 5)),
