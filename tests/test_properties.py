@@ -8,6 +8,7 @@ from sumsetlab.intset import (
     ArithmeticProgression,
     DilatedOddProgression,
     IntegerSet,
+    SumsetResult,
     classify_structure,
     subsums,
 )
@@ -109,6 +110,19 @@ def test_all_odd_parity(A, h):
     assume(h <= len(A))
     values = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h).values
     assert all((x - h) % 2 == 0 for x in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=8))
+def test_canonicalize_idempotent(values):
+    """from_values, the canonical form of raw sums, sorts and deduplicates,
+    is unchanged by a second pass, and yields elements IntegerSet accepts."""
+    r = SumsetResult.from_values(values)
+    assert r.values == tuple(sorted(set(values)))
+    assert r.cardinality == len(set(values))
+    assert SumsetResult.from_values(r.values) == r
+    if values:
+        assert IntegerSet(r.values).elements == r.values
 
 
 @settings(max_examples=150, deadline=None)
