@@ -12,6 +12,13 @@ Two independent routes compute each value set: compute_oracle enumerates
 admissible coefficient vectors directly, compute_dp runs a layered dynamic
 program over bit tables.  They must agree exactly; tests and the acceptance
 suite sweep both.
+
+The DP has one fold and two readers: compute_dp decodes the top layer into
+values, and count_dp returns its bit count without decoding, for callers
+that read only a cardinality (verify, the inverse verdicts, a text compute
+without --values).  The restricted fold skips the layers that the elements
+still to come cannot lift to the top, and frees each layer once no later
+fold reads it.
 """
 
 from __future__ import annotations
@@ -153,14 +160,19 @@ def _shift(bits: int, delta: int) -> int:
     return bits << delta if delta >= 0 else bits >> (-delta)
 
 
-def fold_restricted(dp: list[int], a: int, signed: bool, lo: int = 1) -> None:
+def fold_restricted(dp: list[int], a: int, signed: bool, rest: int = MAX_FOLD) -> None:
     """Fold one element into restricted layer tables, in place.
 
     dp[j] gains dp[j-1] moved by a (and by -a when signed), for j from the
-    top layer down to lo, so each element is used at most once.  Layers
-    below lo are left as they were.
+    top layer h = len(dp) - 1 down to the floor max(1, h - rest), so each
+    element is used at most once.  rest is the number of elements still to
+    fold after this one: they lift a sum by at most rest layers, so only
+    the layers from h - rest up can still reach the top, and only those are
+    kept exact.  Layers below the floor are left as they were; by default
+    every layer is folded.
     """
-    for j in range(len(dp) - 1, lo - 1, -1):
+    h = len(dp) - 1
+    for j in range(h, max(1, h - rest) - 1, -1):
         prev = dp[j - 1]
         if prev:
             add = _shift(prev, a)
@@ -169,15 +181,18 @@ def fold_restricted(dp: list[int], a: int, signed: bool, lo: int = 1) -> None:
             dp[j] |= add
 
 
-def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
+def _fold(A: IntegerSet, variant: SumsetVariant, h: int) -> tuple[int, int]:
     """Dynamic-programming route: layered bit tables indexed by used weight.
 
     dp[j] is the set of sums reachable with total weight j, encoded as a bit
     table over [-h*max|a|, h*max|a|] (bit position = value + offset).
     Elements are folded in one at a time; restricted variants consume weight
     1 per element, PLAIN and SIGNED spend weight equal to the multiplicity.
-    Tables over TABLE_BITS_CAP bits in all raise CostCapExceeded before
-    anything is allocated.
+    A restricted fold keeps only the layers the remaining elements can still
+    lift to the top (see fold_restricted), and frees each layer no later
+    fold reads.  Tables over TABLE_BITS_CAP bits in all raise
+    CostCapExceeded before anything is allocated.  Returns the top layer
+    dp[h] and the offset.
     """
     _check_fold(A, variant, h)
     e = A.elements
@@ -192,8 +207,12 @@ def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
 
     if variant in (SumsetVariant.RESTRICTED, SumsetVariant.RESTRICTED_SIGNED):
         signed = variant is SumsetVariant.RESTRICTED_SIGNED
-        for a in e:
-            fold_restricted(dp, a, signed)
+        for rest, a in zip(range(len(e) - 1, -1, -1), e):
+            # This fold and every later one read only layers h - rest - 1
+            # and up, so layer h - rest - 2 is dead.
+            if rest <= h - 2:
+                dp[h - rest - 2] = 0
+            fold_restricted(dp, a, signed, rest)
     elif variant is SumsetVariant.PLAIN:
         # Ascending weight lets one element repeat within its own pass.
         for a in e:
@@ -213,5 +232,15 @@ def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
                     if base:
                         dp[j] |= _shift(base, delta) | _shift(base, -delta)
 
-    return SumsetResult(_bits_to_values(dp[h], offset), dp[h].bit_count())
+    return dp[h], offset
 
+
+def compute_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> SumsetResult:
+    """The DP route's value set: the top layer of the fold, decoded."""
+    top, offset = _fold(A, variant, h)
+    return SumsetResult(_bits_to_values(top, offset), top.bit_count())
+
+
+def count_dp(A: IntegerSet, variant: SumsetVariant, h: int) -> int:
+    """|h-fold sumset| from the same fold, counted without decoding."""
+    return _fold(A, variant, h)[0].bit_count()

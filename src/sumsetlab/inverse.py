@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bounds import BoundCatalogEntry, bound_catalogue
-from .engine import SumsetVariant, compute_dp
+from .engine import SumsetVariant, count_dp
 from .errors import RegimeUnsupported
 from .intset import IntegerSet, StructureClass, classify_structure
 
@@ -71,7 +71,7 @@ def inverse_verdict(A: IntegerSet, h: int) -> InverseVerdict:
     entry = _resolve_regime(A, h)
     bound = entry.formula(len(A), h)
     prediction = entry.prediction(h)
-    observed = compute_dp(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
+    observed = count_dp(A, SumsetVariant.RESTRICTED_SIGNED, h)
     classification = classify_structure(A)
     holds = prediction.holds(A.elements)
     if observed < bound:

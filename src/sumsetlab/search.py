@@ -255,7 +255,7 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
                 continue
             vals[p] = a
             layer = tables[p + 1][:]
-            fold_restricted(layer, a, True, max(1, h - p))
+            fold_restricted(layer, a, True, p)
             tables[p] = layer
             # The p elements still to come add at least 2p - 1 sums to the
             # exact layer h - 1 and one to layer h - 2 (see the module

@@ -21,7 +21,7 @@ from conftest import (
     random_parity_split_instance,
 )
 from sumsetlab.bounds import bound_catalogue, check_bounds
-from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle
+from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle, count_dp
 from sumsetlab.intset import IntegerSet, subsums
 from sumsetlab.search import SearchSpace, minimize
 from sumsetlab.witness import (
@@ -121,9 +121,10 @@ def test_criterion_4_oracle_dp_equivalence_sweep(report):
                     h_max = 5
                 for h in range(1, h_max + 1):
                     comparisons += 1
+                    expected = compute_oracle(A, variant, h)
                     if (
-                        compute_oracle(A, variant, h).values
-                        != compute_dp(A, variant, h).values
+                        expected.values != compute_dp(A, variant, h).values
+                        or expected.cardinality != count_dp(A, variant, h)
                     ):
                         discrepancies += 1
                         first_bad = first_bad or (combo, variant.value, h)

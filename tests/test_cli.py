@@ -10,6 +10,7 @@ import pytest
 
 import sumsetlab
 import sumsetlab.cli as cli
+import sumsetlab.engine as engine
 from sumsetlab.bounds import BoundReport
 from sumsetlab.errors import BadParams
 from sumsetlab.intset import IntegerSet
@@ -154,8 +155,8 @@ class TestVerify:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(cli, "compute_dp", counted(cli.compute_dp))
-        monkeypatch.setattr(inverse_mod, "compute_dp", counted(inverse_mod.compute_dp))
+        monkeypatch.setattr(cli, "count_dp", counted(cli.count_dp))
+        monkeypatch.setattr(inverse_mod, "count_dp", counted(inverse_mod.count_dp))
         code, out, _ = run(capsys, "verify", "--set", "1,3,5,9", "--h", h, "--format", fmt)
         assert code == 0
         if fmt == "json":
@@ -175,6 +176,43 @@ class TestVerify:
         assert got == code
         assert f"bound id={entry_id}" in out
         assert lines_of(out)[-1] == ("result=falsified" if code else "result=ok")
+
+
+class TestDecodeFree:
+    """verify and a text compute without --values read only counts, so they
+    run without the value decoder; a report that lists values still uses it."""
+
+    class Decoded(Exception):
+        pass
+
+    def no_decoding(self, monkeypatch):
+        def decode(*args):
+            raise self.Decoded
+
+        monkeypatch.setattr(engine, "_bits_to_values", decode)
+
+    # {1,3,5,9} has an inverse regime at h=3 and none at h=2.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "1,3,5,9", "--h", "3"],
+        ["verify", "--set", "1,3,5,9", "--h", "2"],
+        ["verify", "--set", "1,3,5,9", "--h", "3", "--format", "json"],
+        ["verify", "--set", "1,3,5,9", "--h", "2", "--format", "json"],
+        ["compute", "--set", "1,3,5,9", "--variant", "restricted", "--h", "2"],
+    ])
+    def test_counts_without_decoding(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        self.no_decoding(monkeypatch)
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--set", "1,3,5,9", "--h", "3", "--format", "json"],
+        ["compute", "--set", "1,3,5,9", "--h", "3", "--values"],
+        ["witness", "--lemma", "all-odd-extension", "--set", "1,3,5,9", "--h", "3"],
+    ])
+    def test_value_reports_decode(self, monkeypatch, argv):
+        self.no_decoding(monkeypatch)
+        with pytest.raises(self.Decoded):
+            cli.main(argv)
 
 
 class TestSearch:

@@ -2,7 +2,7 @@ import pytest
 
 import sumsetlab.inverse as inverse_module
 from sumsetlab.errors import RegimeUnsupported
-from sumsetlab.intset import IntegerSet, SumsetResult
+from sumsetlab.intset import IntegerSet
 from sumsetlab.inverse import (
     BOUND_VIOLATED,
     EQUALITY_PREDICTED,
@@ -205,11 +205,10 @@ class TestDefensiveVerdicts:
     scale (that is the theorem); exercise them by stubbing the engine."""
 
     def _patched(self, monkeypatch, elements, h, fake_cardinality):
-        def fake_compute_dp(A, variant, fold):
-            values = tuple(range(fake_cardinality))
-            return SumsetResult(values, fake_cardinality)
+        def fake_count_dp(A, variant, fold):
+            return fake_cardinality
 
-        monkeypatch.setattr(inverse_module, "compute_dp", fake_compute_dp)
+        monkeypatch.setattr(inverse_module, "count_dp", fake_count_dp)
         return verdict(elements, h)
 
     def test_equality_without_predicted_structure(self, monkeypatch):

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle
+from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle, count_dp
 from sumsetlab.intset import (
     ArithmeticProgression,
     DilatedOddProgression,
@@ -44,6 +44,26 @@ def admissible(variant, A, h):
 def test_oracle_equals_dp(A, h, variant):
     assume(admissible(variant, A, h))
     assert compute_oracle(A, variant, h).values == compute_dp(A, variant, h).values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_count_equals_decoded_cardinality(data):
+    # Sets with and without 0, negative elements and single elements; h at
+    # both ends of 1..k for the restricted variants, and past k for the
+    # others.
+    variant = data.draw(variants, label="variant")
+    zero = data.draw(st.booleans(), label="zero")
+    nonzero = data.draw(st.lists(st.integers(-30, 30).filter(bool), min_size=0 if zero else 1,
+                                 max_size=5, unique=True), label="A")
+    A = IntegerSet(tuple(sorted([0] * zero + nonzero)))
+    k = len(A)
+    if variant in (SumsetVariant.RESTRICTED, SumsetVariant.RESTRICTED_SIGNED):
+        h = data.draw(st.sampled_from((1, k)) | st.integers(1, k), label="h")
+    else:
+        h = data.draw(st.integers(1, k) | st.integers(k + 1, k + 3), label="h")
+    result = compute_dp(A, variant, h)
+    assert count_dp(A, variant, h) == result.cardinality == len(result.values)
 
 
 @settings(max_examples=150, deadline=None)

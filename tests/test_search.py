@@ -100,7 +100,7 @@ class TestPruneFloors:
         h = data.draw(st.integers(1, k), label="h")
         layer = [1 << h * max(order)] + [0] * h
         for q, a in zip(range(k - 1, p - 1, -1), order):
-            fold_restricted(layer, a, True, max(1, h - q))
+            fold_restricted(layer, a, True, q)
         A = IntegerSet(tuple(sorted(order + C)))
         count = compute_oracle(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
         mid = layer[h - 1]
