@@ -61,17 +61,10 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as ex:
-            raise BadParams(f"cannot write --out {out}: {ex.strerror}") from ex
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -96,7 +89,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if args.values:
             lines.append("values=" + ",".join(str(v) for v in values))
         text = "\n".join(lines)
-    _emit(text, args.out)
+    _emit(text)
     return EXIT_OK
 
 
@@ -156,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"inverse=unsupported ({unsupported})")
         lines.append(f"result={'falsified' if falsified else 'ok'}")
         text = "\n".join(lines)
-    _emit(text, args.out)
+    _emit(text)
     return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
@@ -190,7 +183,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             lines.append(f"class {name}={report.classes[name]}")
         lines.append(f"falsified={_bool(report.falsified)}")
         text = "\n".join(lines)
-    _emit(text, args.out)
+    _emit(text)
     return EXIT_FALSIFIED if report.falsified else EXIT_OK
 
 
@@ -221,7 +214,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         lines.append(f"ordering_guards={_bool(guards)}")
         lines.append(f"result={'pass' if passed else 'fail'}")
         text = "\n".join(lines)
-    _emit(text, args.out)
+    _emit(text)
     return EXIT_OK if passed else EXIT_FALSIFIED
 
 
@@ -237,7 +230,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             )
             lines.append(f"  hypotheses: {entry.hypotheses_text}")
         text = "\n".join(lines)
-    _emit(text, args.out)
+    _emit(text)
     return EXIT_OK
 
 
@@ -253,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--format", default="text", choices=formats, metavar="FORMAT",
                        help=f"output format: {'|'.join(formats)}")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the report to PATH instead of stdout")
 
     p = sub.add_parser("compute", help="compute one sumset or the subset sums")
     p.add_argument("--set", required=True, help=_SET_HELP)

@@ -16,9 +16,10 @@ suite sweep both.
 The DP has one fold and two readers: compute_dp decodes the top layer into
 values, and count_dp returns its bit count without decoding, for callers
 that read only a cardinality (verify, the inverse verdicts, a text compute
-without --values).  The restricted fold skips the layers that the elements
-still to come cannot lift to the top, and frees each layer once no later
-fold reads it.
+without --values, the search's starting minimum).  The restricted fold skips
+the layers that the elements still to come cannot lift to the top, and frees
+each layer once no later fold reads it.  fold_bits gives the size of one
+fold's tables; compute_dp's cap and the search's both read it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ ORACLE_COST_CAP = 10**8
 # Most bits a dense DP's layer tables may hold (256 MiB): compute_dp's, and
 # a search shard's (see search.SearchSpace.table_bits).
 TABLE_BITS_CAP = 2**31
+
+
+def fold_bits(h: int, offset: int) -> int:
+    """Bits in one fold's h + 1 layer tables, each over [-offset, offset]."""
+    return (h + 1) * (2 * offset + 1)
 
 
 class SumsetVariant(enum.Enum):
@@ -160,7 +166,7 @@ def _shift(bits: int, delta: int) -> int:
     return bits << delta if delta >= 0 else bits >> (-delta)
 
 
-def fold_restricted(dp: list[int], a: int, signed: bool, rest: int = MAX_FOLD) -> None:
+def fold_restricted(dp: list[int], a: int, signed: bool, rest: int) -> None:
     """Fold one element into restricted layer tables, in place.
 
     dp[j] gains dp[j-1] moved by a (and by -a when signed), for j from the
@@ -168,8 +174,7 @@ def fold_restricted(dp: list[int], a: int, signed: bool, rest: int = MAX_FOLD) -
     element is used at most once.  rest is the number of elements still to
     fold after this one: they lift a sum by at most rest layers, so only
     the layers from h - rest up can still reach the top, and only those are
-    kept exact.  Layers below the floor are left as they were; by default
-    every layer is folded.
+    kept exact.  Layers below the floor are left as they were.
     """
     h = len(dp) - 1
     for j in range(h, max(1, h - rest) - 1, -1):
@@ -197,7 +202,7 @@ def _fold(A: IntegerSet, variant: SumsetVariant, h: int) -> tuple[int, int]:
     _check_fold(A, variant, h)
     e = A.elements
     offset = h * max(abs(e[0]), abs(e[-1]))
-    bits = (h + 1) * (2 * offset + 1)
+    bits = fold_bits(h, offset)
     if bits > TABLE_BITS_CAP:
         raise CostCapExceeded(
             f"DP tables would hold {bits} bits (cap {TABLE_BITS_CAP})"

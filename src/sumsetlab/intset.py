@@ -105,10 +105,6 @@ class IntegerSet(Value):
     def min(self) -> int:
         return self.elements[0]
 
-    @property
-    def max(self) -> int:
-        return self.elements[-1]
-
     def all_odd(self) -> bool:
         return all(a % 2 == 1 for a in self.elements)
 
@@ -141,10 +137,6 @@ class SumsetResult(Value):
     def from_values(cls, values: Iterable[int]) -> "SumsetResult":
         ordered = tuple(sorted(set(values)))
         return cls(ordered, len(ordered))
-
-    @property
-    def min(self) -> int:
-        return self.values[0]
 
     @property
     def max(self) -> int:

@@ -36,13 +36,16 @@ integers outside B, so every completion A has h^_+-(A) containing X + T for
 X = L_{h-1}(B), T = {+-x_i} (2p values), and for X = L_{h-2}(B), T = {+-s}
 with s the sum of two of them.  Since |X + T| >= |X| + |T| - 1 for finite
 integer sets, each completion counts at least |L_h(B)|, |L_{h-1}(B)| + 2p - 1
-and |L_{h-2}(B)| + 1, the last two only when their layer is non-empty.  A
-subtree whose floor is above the shard's running minimum is skipped whole.
-The prune is strict, so every tie is still visited, counted and classified,
-and the report does not change.  Every shard starts its running minimum at
-the count of the space's first colex set, {1..k} or {0..k-1}, which the
-space's minimum can only tie or undercut: the seed always comes from a real
-set of the space, never from the catalogue bound the search tests.
+and |L_{h-2}(B)| + 1, the last two only when their layer is non-empty.  For
+p >= 2 neither of the last two is attained (the docstring of
+tests/test_search.py::TestPruneFloors has the proof), so the walk uses
+|L_{h-1}(B)| + 2p and |L_{h-2}(B)| + 3.  A subtree whose floor is above the
+shard's running minimum is skipped whole.  The prune is strict, so every tie
+is still visited, counted and classified, and the report does not change.
+Every shard starts its running minimum at engine.count_dp of the space's
+first colex set, {1..k} or {0..k-1}, which the space's minimum can only tie
+or undercut: the seed always comes from a real set of the space, never from
+the catalogue bound the search tests.
 """
 
 from __future__ import annotations
@@ -60,7 +63,14 @@ from .bounds import (
     direct_window,
     dump_json,
 )
-from .engine import MAX_FOLD, TABLE_BITS_CAP, fold_restricted
+from .engine import (
+    MAX_FOLD,
+    TABLE_BITS_CAP,
+    SumsetVariant,
+    count_dp,
+    fold_bits,
+    fold_restricted,
+)
 from .errors import BadParams, FoldTooLarge, SpaceTooLarge
 from .intset import MAX_ELEMENT, IntegerSet, Value, classify_structure, field
 
@@ -135,9 +145,9 @@ class SearchSpace(Value):
 
     @property
     def table_bits(self) -> int:
-        """Bits a shard's walk holds: h + 1 layer tables, each 2 * h * max + 1
-        bits wide, for each of the k levels."""
-        return self.k * (self.h + 1) * (2 * self.h * self.max_element + 1)
+        """Bits a shard's walk holds: one fold's tables, offset h * max, for
+        each of the k levels."""
+        return self.k * fold_bits(self.h, self.h * self.max_element)
 
     @property
     def total_sets(self) -> int:
@@ -154,11 +164,15 @@ class SearchSpace(Value):
         return catalogue_entry(entry_id)
 
     @property
+    def first_set(self) -> IntegerSet:
+        """The space's first set in colex order: {1..k}, or {0..k-1}."""
+        return IntegerSet(self.materialize(tuple(range(self.choose_k))))
+
+    @property
     def hypotheses_hold(self) -> bool:
         # Both entries' hypotheses read only |A| and the sign of min A, so
         # the first colex member stands for the whole space.
-        first = IntegerSet(self.materialize(tuple(range(self.choose_k))))
-        return self.entry.hypotheses(first, self.h)
+        return self.entry.hypotheses(self.first_set, self.h)
 
     @property
     def bound(self) -> int:
@@ -231,10 +245,7 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     tables: list[list[int]] = [[] for _ in range(k)]
     tables.append([1 << h * space.max_element] + [0] * h)
     # Every shard starts its minimum at the count of the space's first set.
-    seed = tables[k][:]
-    for a in space.materialize(tuple(range(space.choose_k))):
-        fold_restricted(seed, a, True)
-    best = seed[h].bit_count()
+    best = count_dp(space.first_set, SumsetVariant.RESTRICTED_SIGNED, h)
     # The walk keeps its own stack rather than recursing: SPACE_CAP admits
     # k in the thousands (k = max), past Python's recursion limit.
     vals = [0] * k  # the current element at each level >= 2
@@ -257,16 +268,16 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
             layer = tables[p + 1][:]
             fold_restricted(layer, a, True, p)
             tables[p] = layer
-            # The p elements still to come add at least 2p - 1 sums to the
-            # exact layer h - 1 and one to layer h - 2 (see the module
+            # The p elements still to come add at least 2p sums to the
+            # exact layer h - 1 and three to layer h - 2 (see the module
             # docstring).  Ties are kept, so only a floor above best skips
             # the subtree.
             mid = layer[h - 1]
             low = layer[h - 2] if h > 1 else 0
             if (
                 layer[h].bit_count() > best
-                or mid and mid.bit_count() + 2 * p - 1 > best
-                or low and low.bit_count() + 1 > best
+                or mid and mid.bit_count() + 2 * p > best
+                or low and low.bit_count() + 3 > best
             ):
                 continue
             p -= 1

@@ -441,22 +441,6 @@ class TestBounds:
 
 
 class TestOutputPlumbing:
-    def test_out_writes_file_and_silences_stdout(self, capsys, tmp_path):
-        path = tmp_path / "report.json"
-        code, out, _ = run(capsys, "compute", "--set", "1,3,5,7", "--h", "3",
-                           "--format", "json", "--out", str(path))
-        assert code == 0 and out == ""
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["cardinality"] == 16
-
-    @pytest.mark.parametrize("target", ["dir", "missing-parent"])
-    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
-        path = tmp_path if target == "dir" else tmp_path / "missing" / "report.txt"
-        code, out, err = run(capsys, "compute", "--set", "1,2,3", "--h", "2",
-                             "--out", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: cannot write --out {path}: ")
-
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

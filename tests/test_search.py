@@ -64,10 +64,10 @@ def one_free(max_element):
 
 
 class TestPruneFloors:
-    """The walk's three floors hold for every completion, and the two weaker
-    ones are never attained, so no set that `>=` in place of their `>`
-    would cut can tie the running minimum: the two prunes cannot be told
-    apart by any report, and no tie can be pinned against them.
+    """The walk's three floors hold for every completion.  The sumset
+    inequality gives |L_{h-1}(B)| + 2p - 1 and |L_{h-2}(B)| + 1; neither is
+    ever attained, so the walk prunes on |L_{h-1}(B)| + 2p and
+    |L_{h-2}(B)| + 3, which the test checks directly.
 
     A completion A is a suffix B plus p >= 2 distinct positive elements C
     below B's positive ones (B may hold the zero regime's pinned 0).
@@ -107,9 +107,9 @@ class TestPruneFloors:
         low = layer[h - 2] if h > 1 else 0
         assert layer[h].bit_count() <= count
         if mid:
-            assert mid.bit_count() + 2 * p - 1 < count
+            assert mid.bit_count() + 2 * p <= count
         if low:
-            assert low.bit_count() + 1 < count
+            assert low.bit_count() + 3 <= count
 
 
 class TestPartitionWork:
@@ -248,7 +248,7 @@ class TestSearchSpaceValidation:
         space = SearchSpace(4, 3, 9)
         sets = list(lex_sets(space))
         assert len(sets) == math.comb(9, 4)
-        assert all(A.min >= 1 and A.max <= 9 for A in sets)
+        assert all(A.min >= 1 and A.elements[-1] <= 9 for A in sets)
 
     def test_labels_and_bounds(self):
         pos = SearchSpace(4, 3, 9)
