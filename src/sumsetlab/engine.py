@@ -183,7 +183,9 @@ def fold_restricted(dp: list[int], a: int, signed: bool, rest: int) -> None:
             add = _shift(prev, a)
             if signed:
                 add |= _shift(prev, -a)
-            dp[j] |= add
+            # The first fold to reach layer j stores add rather than copy it.
+            cur = dp[j]
+            dp[j] = cur | add if cur else add
 
 
 def _fold(A: IntegerSet, variant: SumsetVariant, h: int) -> tuple[int, int]:

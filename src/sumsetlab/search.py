@@ -19,15 +19,18 @@ merge in order of their ranges, which is colex order.
 A shard counts each set's sumset without building it.  Colex order is the
 order of nested loops with the largest element outermost, so a shard walks
 its subtrees depth first.  The restricted-signed fold does not depend on
-element order, so each element from the largest down to the third-smallest
-is folded once into a copy of the tables above it.  The two smallest
-elements share one double loop: the second-smallest reduces the tables to
-two ints, and each smallest element then costs three shifts, two ors and a
-bit count.  The zero regime's pinned 0 sits above the largest free element,
-so every space, down to one free element, takes the same walk.  Tables are
-offset by h * max, so a right shift never drops a set bit.  The gcd filter,
-an IntegerSet and a classification cost something only for a set that ties
-or undercuts the shard's running minimum.
+element order, so each element from the largest down to the fourth-smallest
+first lifts only the top three layers of the tables above it and tests its
+floors on them; only if its subtree survives is it folded once into a copy
+of the layers below those three.  The third-smallest element stops at the
+three layers, plain ints, and the two smallest share one double loop over
+them: the second-smallest reduces them to two ints, and each smallest
+element then costs three shifts, two ors and a bit count.  The zero regime's pinned 0
+sits above the largest free element, so every space, down to one free
+element, takes the same walk.  Tables are offset by h * max, so a right
+shift never drops a set bit.  The gcd filter, an IntegerSet and a
+classification cost something only for a set that ties or undercuts the
+shard's running minimum.
 
 The walk is a branch and bound.  Once the elements from the largest down
 to level p are folded, the tables hold the exact layers L_j(B), j >= h - p,
@@ -80,14 +83,16 @@ SPACE_CAP = 10**9
 MINIMIZER_CAP = 64
 
 # Fewest sets worth a pool worker.  Measured with minimize at shards=2,
-# serial and 2-worker runs alternating, median of 15 (Python 3.11, 2 CPUs,
-# fork): the pruned serial scan costs 0.14-0.7 us per set, depending on how
-# much it prunes, and a 2-worker pool adds 10-15 ms of start-up, so pooling
-# loses below about 50k sets (40,920 sets at k=4: 11.4 ms serial, 20.3 ms
-# pooled; 54,264 at k=6: 15.1 vs 25.0 ms), breaks even between 50k and 75k,
-# later the more a space prunes (50,388 at k=7 h=5: 30.0 vs 28.9 ms; 65,780
-# at k=5 h=3: 9.4 vs 14.2 ms; 66,045 at k=4: 26.8 vs 23.4 ms), and wins from
-# there (74,613 at k=6: 33.6 vs 28.5 ms; 170,544 at k=7: 65.0 vs 51.0 ms).
+# serial and 2-worker runs alternating, median of 15, ranges over four
+# series on a busy host (Python 3.11, 2 CPUs, fork): the pruned serial scan
+# costs 0.11-0.45 us per set, depending on how much it prunes, and a
+# 2-worker pool adds 10-15 ms of start-up, so pooling loses below about 66k
+# sets (40,920 sets at k=4 h=3: 10.5-18.5 ms serial, 19.0-21.8 ms pooled;
+# 54,264 at k=6 h=4: 10.1-17.5 vs 17.9-29.3 ms; 65,780 at k=5 h=3: 7.1-12.5
+# vs 15.1-17.7 ms), is within the noise up to about 80k (66,045 at k=4 h=3:
+# 16.5-29.1 vs 20.0-24.9 ms; 77,520 at k=7 h=5: 20.5-27.6 vs 19.7-25.0 ms),
+# and wins from about 170k (median of 25: 170,544 at k=7 h=5: 36.6 vs
+# 29.0 ms; 346,104: 63.2 vs 49.1 ms).
 SETS_PER_WORKER = 30_000
 
 
@@ -238,12 +243,14 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     # one below the pinned 0, the only level whose parent element is 0.
     pinned = space.materialize(())
     # tables[p]: rss layer tables of the elements at levels p and up, folded
-    # top level first.  Only layers j >= h - p are exact: the p smaller
-    # elements still to come lift a sum by at most p layers.  The offset
-    # h * max keeps every sum inside the table, so a right shift never
-    # drops a set bit.
+    # top level first; tables[p][-1 - i] is layer h - i.  Only layers
+    # j >= h - p are exact: the p smaller elements still to come lift a sum
+    # by at most p layers.  The offset h * max keeps every sum inside the
+    # table, so a right shift never drops a set bit.  Three zero layers pad
+    # each table below layer 0, so layers h - 1 to h - 3 exist for every h;
+    # a zero layer folds to zero, so the pad never changes a fold.
     tables: list[list[int]] = [[] for _ in range(k)]
-    tables.append([1 << h * space.max_element] + [0] * h)
+    tables.append([0, 0, 0, 1 << h * space.max_element] + [0] * h)
     # Every shard starts its minimum at the count of the space's first set.
     best = count_dp(space.first_set, SumsetVariant.RESTRICTED_SIGNED, h)
     # The walk keeps its own stack rather than recursing: SPACE_CAP admits
@@ -258,38 +265,51 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     p = k - 1
     while p < k:
         if p > 1:
-            # Fold level p's next element once into a copy of the tables
-            # above it, and open the level below.
             a = next(levels[p], None)
             if a is None:
                 p += 1
                 continue
-            vals[p] = a
-            layer = tables[p + 1][:]
-            fold_restricted(layer, a, True, p)
-            tables[p] = layer
-            # The p elements still to come add at least 2p sums to the
-            # exact layer h - 1 and three to layer h - 2 (see the module
+            # Level p's element lifts the top three layers of the tables
+            # above it by one: only they decide whether the subtree can
+            # reach best.  The p elements still to come add at least 2p
+            # sums to layer h - 1 and three to layer h - 2 (see the module
             # docstring).  Ties are kept, so only a floor above best skips
             # the subtree.
-            mid = layer[h - 1]
-            low = layer[h - 2] if h > 1 else 0
+            above = tables[p + 1]
+            x, y, z = above[-2], above[-3], above[-4]
+            t = above[-1] | x << a | x >> a
+            u = x | y << a | y >> a
+            v = y | z << a | z >> a
             if (
-                layer[h].bit_count() > best
-                or mid and mid.bit_count() + 2 * p > best
-                or low and low.bit_count() + 3 > best
+                t.bit_count() > best
+                or u and u.bit_count() + 2 * p > best
+                or v and v.bit_count() + 3 > best
             ):
                 continue
-            p -= 1
-            levels[p] = iter(range(p + 1, a) if a else range(lo, hi + 1))
-            continue
-        # Levels 1 and 0, fused.  After the fold of the second-smallest
-        # element a1 the smallest one needs only two ints: the top layer
-        # and the one below it.
-        layer = tables[2]
-        t, u = layer[h], layer[h - 1]
-        v = layer[h - 2] if h > 1 else 0
-        for a1 in levels[1]:
+            vals[p] = a
+            opened = range(p, a) if a else range(lo, hi + 1)
+            if p > 2:
+                # The subtree survives: fold the element into a copy of the
+                # layers below the three it has lifted, from h - 3 down to
+                # the last exact one, h - p, and open the level below.
+                layer = above[:-3]
+                fold_restricted(layer, a, True, p - 3)
+                layer += v, u, t
+                tables[p] = layer
+                p -= 1
+                levels[p] = iter(opened)
+                continue
+            # Level 2's three exact layers are all levels 1 and 0 read.
+            a1s = opened
+        else:
+            # k = 2: level 1 is the top level, walked once; p = k then ends
+            # the walk.
+            t, u, v = tables[2][-1], tables[2][-2], tables[2][-3]
+            a1s = levels[1]
+            p = 2
+        # Levels 1 and 0, fused.  After the second-smallest element a1 the
+        # smallest one needs only two ints: the top layer and the one below.
+        for a1 in a1s:
             top = t | u << a1 | u >> a1
             below = u | v << a1 | v >> a1
             # Each set of the range counts at least |top| and |below| + 1.
@@ -314,7 +334,6 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
                         minimizers.append(elems)
                     classes[name] = classes.get(name, 0) + 1
                     unpredicted += not prediction.holds(elems)
-        p = 2
     return _ShardResult(
         best if n_best else None, n_best, tuple(minimizers), classes, unpredicted
     )

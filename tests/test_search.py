@@ -111,6 +111,22 @@ class TestPruneFloors:
         if low:
             assert low.bit_count() + 3 <= count
 
+    def test_floors_run_before_the_fold(self, monkeypatch):
+        # Levels 3 and up test their floors on the three new top layers
+        # before they copy and fold, and level 2 never folds.  A walk that
+        # folds every element at levels 2 and up makes 28,992 calls here.
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return fold_restricted(*args)
+
+        monkeypatch.setattr(search, "fold_restricted", counting)
+        report = minimize(SearchSpace(8, 5, 24), workers=1)
+        assert report.minimum == SearchSpace(8, 5, 24).bound
+        assert 0 < calls <= 7031
+
 
 class TestPartitionWork:
     def test_even_split_with_remainder(self):
@@ -289,6 +305,14 @@ class TestMinimize:
                 # through the colex order: a pruned subtree or a resumed
                 # shard that loses track of its sets misses it.
                 (7, 2, 12, "zero"),
+                # Level 2 is the top level, or the pinned 0 above level 1.
+                (3, 2, 9, "positive"),
+                (3, 3, 9, "positive"),
+                (3, 1, 8, "zero"),
+                (3, 2, 8, "zero"),
+                (3, 3, 8, "zero"),
+                (6, 2, 12, "positive"),  # no layer h - 3
+                (9, 7, 13, "positive"),  # floors prune before the fold
             )
             for gcd_reduce in (True, False)
         ]
