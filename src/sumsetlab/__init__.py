@@ -14,6 +14,7 @@ from .errors import (
     FoldTooLarge,
     HypothesisViolated,
     Overflow,
+    PoolFailed,
     RegimeUnsupported,
     SizeCapExceeded,
     SpaceTooLarge,
@@ -80,6 +81,7 @@ __all__ = [
     "HypothesisViolated",
     "RegimeUnsupported",
     "SpaceTooLarge",
+    "PoolFailed",
     "IntegerSet",
     "SumsetResult",
     "subsums",

@@ -10,7 +10,6 @@ JSON uses fixed key orders so parse-and-reserialize round-trips.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
@@ -154,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    from .search import SearchSpace, minimize
+    from .search import SearchSpace, minimize, usable_cpus
 
     space = SearchSpace(
         k=args.k,
@@ -164,7 +163,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         gcd_reduce=not args.no_gcd_reduce,
         allow_any_fold=args.allow_any_fold,
     )
-    workers = args.workers if args.workers is not None else os.cpu_count() or 1
+    workers = args.workers if args.workers is not None else usable_cpus()
     report = minimize(space, shards=workers, workers=workers)
     if args.format == "json":
         text = report.to_json()
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", default=REGIME_POSITIVE,
                    choices=(REGIME_POSITIVE, REGIME_ZERO))
     p.add_argument("--workers", type=int, default=None,
-                   help="at most this many processes (default: all cores); small"
+                   help="at most this many processes (default: all usable CPUs); small"
                         " spaces are scanned in-process")
     p.add_argument("--no-gcd-reduce", action="store_true",
                    help="also scan sets whose elements share a factor (positive regime only)")

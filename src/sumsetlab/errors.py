@@ -52,3 +52,8 @@ class RegimeUnsupported(SumsetLabError):
 
 class SpaceTooLarge(SumsetLabError):
     """The requested search space exceeds the enumeration ceiling."""
+
+
+class PoolFailed(SumsetLabError):
+    """A search worker process died, or could not start, before its shard
+    finished; the original BrokenProcessPool is the __cause__."""

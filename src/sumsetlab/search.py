@@ -45,10 +45,14 @@ tests/test_search.py::TestPruneFloors has the proof), so the walk uses
 |L_{h-1}(B)| + 2p and |L_{h-2}(B)| + 3.  A subtree whose floor is above the
 shard's running minimum is skipped whole.  The prune is strict, so every tie
 is still visited, counted and classified, and the report does not change.
-Every shard starts its running minimum at engine.count_dp of the space's
-first colex set, {1..k} or {0..k-1}, which the space's minimum can only tie
-or undercut: the seed always comes from a real set of the space, never from
-the catalogue bound the search tests.
+Every shard starts its running minimum at engine.count_dp of one set of
+the space (SearchSpace.seed_set), which the space's minimum can only tie or
+undercut: the odd progression {1, 3, ..., 2k - 1} where the positive regime
+holds it and h < k, else the first colex set, {1..k} or {0..k-1}.  The seed
+always comes from a real set of the space, never from the catalogue bound
+the search tests.  A shard whose range holds no set that low would
+otherwise prune against a higher count than a serial scan, which reaches
+the progression within its first C(2k - 1, k) sets.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from .engine import (
     fold_bits,
     fold_restricted,
 )
-from .errors import BadParams, FoldTooLarge, SpaceTooLarge
+from .errors import BadParams, FoldTooLarge, PoolFailed, SpaceTooLarge
 from .intset import MAX_ELEMENT, IntegerSet, Value, classify_structure, field
 
 OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
@@ -82,18 +86,48 @@ OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 SPACE_CAP = 10**9
 MINIMIZER_CAP = 64
 
-# Fewest sets worth a pool worker.  Measured with minimize at shards=2,
-# serial and 2-worker runs alternating, median of 15, ranges over four
-# series on a busy host (Python 3.11, 2 CPUs, fork): the pruned serial scan
-# costs 0.11-0.45 us per set, depending on how much it prunes, and a
-# 2-worker pool adds 10-15 ms of start-up, so pooling loses below about 66k
-# sets (40,920 sets at k=4 h=3: 10.5-18.5 ms serial, 19.0-21.8 ms pooled;
-# 54,264 at k=6 h=4: 10.1-17.5 vs 17.9-29.3 ms; 65,780 at k=5 h=3: 7.1-12.5
-# vs 15.1-17.7 ms), is within the noise up to about 80k (66,045 at k=4 h=3:
-# 16.5-29.1 vs 20.0-24.9 ms; 77,520 at k=7 h=5: 20.5-27.6 vs 19.7-25.0 ms),
-# and wins from about 170k (median of 25: 170,544 at k=7 h=5: 36.6 vs
-# 29.0 ms; 346,104: 63.2 vs 49.1 ms).
-SETS_PER_WORKER = 30_000
+# Fewest sets worth a pool worker: 2 * SETS_PER_WORKER is the smallest set
+# count from which a 2-worker pool was not slower than the serial scan on
+# any measured space.  Measured through cli.main (search --format json,
+# --workers 1 against 2 with every 2-worker run pooled, reports equal),
+# three series of 9 alternated pairs, medians of 27 (Python 3.11, 2 CPUs,
+# fork).  The serial scan costs 0.02-0.41 us per set, depending on how much
+# it prunes:
+#
+#   space                   sets  us/set  serial ms  pool ms
+#   k=4 h=3 max=37        66,045   0.41       27.4     32.7
+#   zero k=7 h=4 max=22   74,613   0.17       12.7     19.4
+#   k=7 h=5 max=20        77,520   0.32       25.0     26.8
+#   k=6 h=5 max=24       134,596   0.28       37.9     34.6
+#   k=5 h=3 max=30       142,506   0.14       19.6     24.7
+#   k=4 h=3 max=45       148,995   0.36       53.9     47.0
+#   k=7 h=5 max=22       170,544   0.24       41.0     35.9
+#   k=6 h=4 max=26       230,230   0.16       36.6     34.5
+#   zero k=7 h=4 max=26  230,230   0.10       23.9     25.0  (the last loss)
+#   k=4 h=3 max=50       230,300   0.40       91.8     65.6
+#   k=7 h=5 max=24       346,104   0.18       61.5     51.4
+#   zero k=7 h=4 max=30  593,775   0.069      40.7     28.5
+#   k=8 h=5 max=24       735,471   0.078      57.2     48.1
+#   k=5 h=3 max=44     1,086,008   0.056      61.0     59.9
+#   k=8 h=5 max=30     5,852,925   0.021     120.9     95.6
+#
+# 34 more spaces, from 376,740 to 5,245,786 sets, were all faster pooled;
+# BENCH_23.json has the full table of 49.  Under a start method other than
+# fork each worker starts slower, so its crossover is higher.
+SETS_PER_WORKER = 115_150
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: os.process_cpu_count() (Python
+    3.13+), else the scheduler affinity mask, else os.cpu_count(); 1 when
+    none of them knows."""
+    if hasattr(os, "process_cpu_count"):
+        count = os.process_cpu_count()
+    elif hasattr(os, "sched_getaffinity"):
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count()
+    return count or 1
 
 
 class SearchSpace(Value):
@@ -174,6 +208,21 @@ class SearchSpace(Value):
         return IntegerSet(self.materialize(tuple(range(self.choose_k))))
 
     @property
+    def seed_set(self) -> IntegerSet:
+        """The set whose count starts every shard's running minimum.
+
+        In the positive regime with h < k and max >= 2k - 1 that is the odd
+        progression {1, 3, ..., 2k - 1}, whose count is never above
+        first_set's, so a shard whose range holds neither set still prunes
+        as hard as a serial scan that has passed them.  Otherwise it is
+        first_set.
+        """
+        k = self.k
+        if self.regime == REGIME_POSITIVE and self.h < k and 2 * k - 1 <= self.max_element:
+            return IntegerSet(tuple(range(1, 2 * k, 2)))
+        return self.first_set
+
+    @property
     def hypotheses_hold(self) -> bool:
         # Both entries' hypotheses read only |A| and the sign of min A, so
         # the first colex member stands for the whole space.
@@ -251,8 +300,8 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     # a zero layer folds to zero, so the pad never changes a fold.
     tables: list[list[int]] = [[] for _ in range(k)]
     tables.append([0, 0, 0, 1 << h * space.max_element] + [0] * h)
-    # Every shard starts its minimum at the count of the space's first set.
-    best = count_dp(space.first_set, SumsetVariant.RESTRICTED_SIGNED, h)
+    # Every shard starts its minimum at the count of the space's seed set.
+    best = count_dp(space.seed_set, SumsetVariant.RESTRICTED_SIGNED, h)
     # The walk keeps its own stack rather than recursing: SPACE_CAP admits
     # k in the thousands (k = max), past Python's recursion limit.
     vals = [0] * k  # the current element at each level >= 2
@@ -397,30 +446,35 @@ def minimize(
     The report is a pure function of the space: shard and worker counts
     change only how the scan is split, never its outcome.  `workers` is an
     upper bound: a pool gets at most one worker per shard, per
-    SETS_PER_WORKER sets and per CPU, and a space too small for two is
-    scanned in-process.
+    SETS_PER_WORKER sets and per usable CPU (usable_cpus()), and a space
+    too small for two is scanned in-process, where it finishes sooner.
 
     A script that runs a pooled minimize must call it under
     `if __name__ == "__main__":`.  Under the spawn and forkserver start
     methods (the defaults on macOS and, from Python 3.14, on Linux) each
     worker re-imports the script's main module, and without the guard the
-    search ends in BrokenProcessPool.
+    pool breaks.  A broken pool, for that or because a worker was killed,
+    raises PoolFailed with the BrokenProcessPool as its __cause__.
     """
     if workers is not None and workers < 1:
         raise BadParams(f"need at least 1 worker, got {workers}")
     ranges = _shard_ranges(space, shards)
     # The fork start method starts every worker at the first submit, so the
-    # pool never asks for more processes than there are CPUs.
+    # pool never asks for more processes than the CPUs it may run on.
     pool_size = min(
-        workers or 1, len(ranges), space.total_sets // SETS_PER_WORKER, os.cpu_count() or 1
+        workers or 1, len(ranges), space.total_sets // SETS_PER_WORKER, usable_cpus()
     )
     args = ([space] * len(ranges), *zip(*ranges))
     if pool_size > 1:
         # Imported here, so a serial scan never loads the pool.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_scan_shard, *args))
+        try:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                results = list(pool.map(_scan_shard, *args))
+        except BrokenProcessPool as ex:
+            raise PoolFailed(f"search pool of {pool_size} workers broke: {ex}") from ex
     else:
         results = list(map(_scan_shard, *args))
 

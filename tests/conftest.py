@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import random
+import types
 
 import pytest
 
@@ -37,6 +38,22 @@ def in_process_pool(monkeypatch):
     # The search imports the pool class when it starts a pool.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     return pools
+
+
+@pytest.fixture
+def broken_pool(in_process_pool, monkeypatch):
+    """Make every pool the search starts break, as a killed worker breaks
+    it, without starting a process or scanning a shard.  Returns the pool
+    sizes asked for (.pools) and the BrokenProcessPool raised (.error)."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    error = BrokenProcessPool("a process in the pool was terminated abruptly")
+
+    def map_broken(self, fn, *iterables):
+        raise error
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", map_broken)
+    return types.SimpleNamespace(pools=in_process_pool, error=error)
 
 
 def _sample(rng: random.Random, population: range, k: int, pred, tries: int = 20000):

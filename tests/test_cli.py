@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -14,7 +13,8 @@ import sumsetlab.engine as engine
 from sumsetlab.bounds import BoundReport
 from sumsetlab.errors import BadParams
 from sumsetlab.intset import IntegerSet
-from sumsetlab.search import SearchReport
+from sumsetlab import search
+from sumsetlab.search import SETS_PER_WORKER, SearchReport
 
 
 def run(capsys, *argv):
@@ -235,14 +235,24 @@ class TestSearch:
         assert base[1] == sharded[1]
 
     def test_default_workers_are_the_cpu_count(self, capsys, monkeypatch, in_process_pool):
-        # 170,544 sets are five workers' worth; without --workers, three
-        # CPUs give three workers and three shards.
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        argv = ("search", "--k", "7", "--h", "5", "--max", "22", "--format", "json")
+        # 593,775 sets are five workers' worth; without --workers, three
+        # usable CPUs give three workers and three shards.
+        assert 5 * SETS_PER_WORKER <= 593_775 < 6 * SETS_PER_WORKER
+        monkeypatch.setattr(search, "usable_cpus", lambda: 3)
+        argv = ("search", "--k", "6", "--h", "4", "--max", "30", "--format", "json")
         default = run(capsys, *argv)
         assert in_process_pool == [3]
         assert default == run(capsys, *argv, "--workers", "1")
         assert default[0] == 0
+
+    def test_broken_pool_exits_2_with_one_error_line(self, capsys, monkeypatch, broken_pool):
+        # A broken pool is an error, not a falsification: exit 2, not 1.
+        monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+        code, out, err = run(capsys, "search", "--k", "6", "--h", "4", "--max", "27",
+                             "--workers", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search pool of 2 workers broke: ")
+        assert err.count("\n") == 1
 
     def test_zero_regime_is_conjecture_tagged(self, capsys):
         code, out, _ = run(capsys, "search", "--k", "5", "--h", "3", "--max", "9",
@@ -497,6 +507,12 @@ class TestImportFootprint:
         # 35 sets: too few for a second worker, so the scan stays in-process.
         rc, modules = self.loaded_after("search", "--k", "4", "--h", "3",
                                         "--max", "7", "--workers", "2")
+        assert rc == 0 and "sumsetlab.search" in modules
+        assert "concurrent.futures" not in modules
+        # 77,520 sets, where a 2-worker pool is slower than the serial scan.
+        assert 77_520 < 2 * SETS_PER_WORKER
+        rc, modules = self.loaded_after("search", "--k", "7", "--h", "5",
+                                        "--max", "20", "--workers", "2")
         assert rc == 0 and "sumsetlab.search" in modules
         assert "concurrent.futures" not in modules
 

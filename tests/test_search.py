@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import os
 import pickle
 import time
 from collections import Counter
@@ -11,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab.bounds import Prediction
-from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle, fold_restricted
-from sumsetlab.errors import BadParams, FoldTooLarge, SpaceTooLarge
+from sumsetlab.engine import (
+    SumsetVariant,
+    compute_dp,
+    compute_oracle,
+    count_dp,
+    fold_restricted,
+)
+from sumsetlab.errors import BadParams, FoldTooLarge, PoolFailed, SpaceTooLarge
 from sumsetlab.intset import IntegerSet, classify_structure
 from sumsetlab import search
 from sumsetlab.search import (
@@ -420,8 +427,8 @@ class TestDeterminism:
 
 class TestPoolSizing:
     def test_large_space_starts_a_pool(self, monkeypatch):
-        # 66,045 sets: two workers' worth, so shards >= 2 start a pool.
-        space = SearchSpace(4, 3, 37)
+        # 296,010 sets: two workers' worth, so shards >= 2 start a pool.
+        space = SearchSpace(6, 4, 27)
         assert space.total_sets // SETS_PER_WORKER == 2
         pools = []
         real = concurrent.futures.ProcessPoolExecutor
@@ -431,7 +438,7 @@ class TestPoolSizing:
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "usable_cpus", lambda: 2)
         for shards in (1, 2, 7):
             serial = minimize(space, shards=shards, workers=1).to_json()
             assert minimize(space, shards=shards, workers=2).to_json() == serial
@@ -439,17 +446,40 @@ class TestPoolSizing:
         assert pools == [2, 2]
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, in_process_pool):
-        # 170,544 sets are five workers' worth, but three CPUs get three.
-        space = SearchSpace(7, 5, 22)
+        # 593,775 sets are five workers' worth, but three CPUs get three.
+        space = SearchSpace(6, 4, 30)
         assert space.total_sets // SETS_PER_WORKER == 5
         pools = in_process_pool
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        helper = search.usable_cpus
+        monkeypatch.setattr(search, "usable_cpus", lambda: 3)
         pooled = minimize(space, shards=8, workers=8).to_json()
         assert pools == [3]
-        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(search, "usable_cpus", helper)
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert minimize(space, shards=8, workers=8).to_json() == pooled
         assert pools == [3]  # an unknown CPU count scans in-process
         assert minimize(space, shards=1, workers=1).to_json() == pooled
+
+    def test_pool_is_capped_at_the_affinity_mask(self, monkeypatch, broken_pool):
+        # The host has 8 CPUs, but the process may run on only 2 of them.
+        # The broken pool records the size asked for and scans nothing.
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert search.usable_cpus() == 2
+        with pytest.raises(PoolFailed):
+            minimize(SearchSpace(6, 4, 30), shards=8, workers=8)
+        assert broken_pool.pools == [2]
+
+    def test_broken_pool_is_a_typed_error(self, monkeypatch, broken_pool):
+        # A killed worker, or a spawned one re-running an unguarded script,
+        # breaks the pool; the caller sees a SumsetLabError.
+        monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+        with pytest.raises(PoolFailed, match="search pool of 2 workers broke") as caught:
+            minimize(SearchSpace(6, 4, 27), shards=2, workers=2)
+        assert caught.value.__cause__ is broken_pool.error
 
     def test_small_space_never_starts_a_pool(self, monkeypatch):
         space = SearchSpace(5, 4, 11)
@@ -462,6 +492,55 @@ class TestPoolSizing:
         serial = minimize(space, shards=1, workers=1).to_json()
         for shards in (1, 2, 8):
             assert minimize(space, shards=shards, workers=8).to_json() == serial
+
+
+class TestUsableCpus:
+    def test_process_cpu_count_comes_first(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert search.usable_cpus() == 3
+
+    def test_cpu_count_is_the_last_resort(self, monkeypatch):
+        # The affinity mask and an unknown count are covered by TestPoolSizing.
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert search.usable_cpus() == 5
+
+
+class TestSeedSet:
+    def test_odd_progression_never_seeds_above_the_first_set(self):
+        # Every shard starts from the seed's count, so it must be a set of
+        # the space and, to prune at least as hard, count no more.
+        for k in range(2, 13):
+            for h in range(1, k):
+                space = SearchSpace(k, h, 2 * k - 1, allow_any_fold=True)
+                assert space.seed_set.elements == tuple(range(1, 2 * k, 2))
+                seed, first = (
+                    count_dp(s, SumsetVariant.RESTRICTED_SIGNED, h)
+                    for s in (space.seed_set, space.first_set)
+                )
+                assert seed <= first, (k, h)
+
+    def test_every_shard_starts_from_the_seed_set(self, monkeypatch):
+        seeds = []
+        real = search.count_dp
+
+        def recording(A, variant, h):
+            seeds.append(A.elements)
+            return real(A, variant, h)
+
+        monkeypatch.setattr(search, "count_dp", recording)
+        minimize(SearchSpace(6, 4, 14), shards=3)
+        assert seeds == [(1, 3, 5, 7, 9, 11)] * 3
+
+    @pytest.mark.parametrize("space", [
+        SearchSpace(5, 3, 8),  # max < 2k - 1: no odd progression
+        SearchSpace(5, 5, 12, allow_any_fold=True),  # h = k
+        SearchSpace(6, 3, 15, regime="zero"),
+    ], ids=["small-max", "h-equals-k", "zero"])
+    def test_otherwise_the_first_set_seeds(self, space):
+        assert space.seed_set == space.first_set
 
 
 class TestReportSerialization:
