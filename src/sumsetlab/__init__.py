@@ -10,17 +10,9 @@ import importlib
 from .errors import (
     BadParams,
     CostCapExceeded,
-    EmptyInput,
-    FoldTooLarge,
-    HypothesisViolated,
-    Overflow,
     PoolFailed,
     RegimeUnsupported,
-    SizeCapExceeded,
-    SpaceTooLarge,
     SumsetLabError,
-    TooSmall,
-    VariantMismatch,
 )
 from .intset import (
     IntegerSet,
@@ -70,17 +62,9 @@ def __dir__():
 
 __all__ = [
     "SumsetLabError",
-    "EmptyInput",
-    "Overflow",
-    "SizeCapExceeded",
-    "TooSmall",
-    "FoldTooLarge",
-    "CostCapExceeded",
-    "VariantMismatch",
     "BadParams",
-    "HypothesisViolated",
+    "CostCapExceeded",
     "RegimeUnsupported",
-    "SpaceTooLarge",
     "PoolFailed",
     "IntegerSet",
     "SumsetResult",

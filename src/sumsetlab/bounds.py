@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .engine import SumsetVariant
-from .errors import BadParams, VariantMismatch
+from .errors import BadParams
 from .intset import (
     ArithmeticProgression,
     DiffClosure4,
@@ -404,7 +404,7 @@ def check_bounds(
     caller computed it; only entries of that variant are checked.
     """
     if not any(entry.variant is variant for entry in _ENTRIES):
-        raise VariantMismatch(f"no catalogue bounds govern variant {variant.value!r}")
+        raise BadParams(f"no catalogue bounds govern variant {variant.value!r}")
     k = len(A)
     reports = []
     for entry in _ENTRIES:

@@ -161,7 +161,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         max_element=args.max,
         regime=args.regime,
         gcd_reduce=not args.no_gcd_reduce,
-        allow_any_fold=args.allow_any_fold,
     )
     workers = args.workers if args.workers is not None else usable_cpus()
     report = minimize(space, shards=workers, workers=workers)
@@ -276,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " spaces are scanned in-process")
     p.add_argument("--no-gcd-reduce", action="store_true",
                    help="also scan sets whose elements share a factor (positive regime only)")
-    p.add_argument("--allow-any-fold", action="store_true",
-                   help="permit h outside 3 <= h <= k-1. A space outside its bound's"
-                        " hypotheses (such an h, or the zero regime at k < 5) reports"
-                        " regime <regime>/outside-stated-hypotheses and is never"
-                        " falsified")
     add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_search)
 

@@ -28,7 +28,7 @@ import enum
 import math
 from itertools import combinations, combinations_with_replacement
 
-from .errors import BadParams, CostCapExceeded, FoldTooLarge
+from .errors import BadParams, CostCapExceeded
 from .intset import IntegerSet, SumsetResult
 
 # Fold counts beyond this are rejected; with |a| <= 2^40 it keeps every
@@ -66,10 +66,10 @@ def _check_fold(A: IntegerSet, variant: SumsetVariant, h: int) -> None:
     if h < 1:
         raise BadParams(f"fold count must be >= 1, got {h}")
     if h > MAX_FOLD:
-        raise FoldTooLarge(f"fold count {h} exceeds supported cap {MAX_FOLD}")
+        raise BadParams(f"fold count {h} exceeds supported cap {MAX_FOLD}")
     restricted = variant in (SumsetVariant.RESTRICTED, SumsetVariant.RESTRICTED_SIGNED)
     if restricted and h > len(A):
-        raise FoldTooLarge(
+        raise BadParams(
             f"{variant.value} needs h <= |A|; got h={h} for a {len(A)}-element set"
         )
 

@@ -1,7 +1,18 @@
 """Exception taxonomy shared by all sumsetlab modules.
 
-Every precondition violation raises a subclass of SumsetLabError, so callers
-(and the CLI, which maps them to exit code 2) can catch one type.
+Every refusal raises a subclass of SumsetLabError, so callers (and the CLI,
+which maps them to exit code 2) can catch one type.  Each cause has one
+type, whichever entry point meets it:
+
+  BadParams          the input is malformed, names something unknown, misses
+                     or adds a parameter, breaks a formula's or a lemma's
+                     preconditions, or leaves the accepted ranges |a| <= 2^40
+                     and h <= 64
+  CostCapExceeded    the input is accepted, but the work it asks for (DP
+                     tables, oracle vectors, subset sums, search sets or
+                     search tables) is over budget
+  RegimeUnsupported  no inverse theorem covers the set
+  PoolFailed         the search's worker pool broke
 """
 
 
@@ -9,49 +20,18 @@ class SumsetLabError(Exception):
     """Base class for all sumsetlab errors."""
 
 
-class EmptyInput(SumsetLabError):
-    """An integer set was constructed from no elements."""
-
-
-class Overflow(SumsetLabError):
-    """An element or product left the supported magnitude range."""
-
-
-class SizeCapExceeded(SumsetLabError):
-    """Subset-sum enumeration was requested beyond the supported set size."""
-
-
-class TooSmall(SumsetLabError):
-    """An operation needs more elements than the set has."""
-
-
-class FoldTooLarge(SumsetLabError):
-    """The fold count h is not admissible for this variant or exceeds the cap."""
+class BadParams(SumsetLabError):
+    """The input or a parameter is malformed, unknown, out of range, or
+    outside the preconditions of the requested formula or lemma."""
 
 
 class CostCapExceeded(SumsetLabError):
-    """The oracle would enumerate too many coefficient vectors, or the DP
-    would allocate tables over the bit budget."""
-
-
-class VariantMismatch(SumsetLabError):
-    """No bound in the catalogue governs the requested sumset variant."""
-
-
-class BadParams(SumsetLabError):
-    """Constructor or operation parameters are out of range."""
-
-
-class HypothesisViolated(SumsetLabError):
-    """The input set does not satisfy the hypotheses of the requested lemma."""
+    """The input is accepted, but the work it needs is over budget; raised
+    before anything is allocated."""
 
 
 class RegimeUnsupported(SumsetLabError):
     """No theorem in the catalogue covers this (size, fold, sign) regime."""
-
-
-class SpaceTooLarge(SumsetLabError):
-    """The requested search space exceeds the enumeration ceiling."""
 
 
 class PoolFailed(SumsetLabError):

@@ -67,7 +67,6 @@ from .bounds import (
     REGIME_ZERO,
     BoundCatalogEntry,
     catalogue_entry,
-    direct_window,
     dump_json,
 )
 from .engine import (
@@ -78,7 +77,7 @@ from .engine import (
     fold_bits,
     fold_restricted,
 )
-from .errors import BadParams, FoldTooLarge, PoolFailed, SpaceTooLarge
+from .errors import BadParams, CostCapExceeded, PoolFailed
 from .intset import MAX_ELEMENT, IntegerSet, Value, classify_structure, field
 
 OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
@@ -134,7 +133,7 @@ class SearchSpace(Value):
     """All k-element sets of a regime with elements bounded by max_element."""
 
     __slots__ = ()
-    k, h, max_element, regime, gcd_reduce, allow_any_fold = map(field, range(6))
+    k, h, max_element, regime, gcd_reduce = map(field, range(5))
 
     def __new__(
         cls,
@@ -143,9 +142,8 @@ class SearchSpace(Value):
         max_element: int,
         regime: str = REGIME_POSITIVE,
         gcd_reduce: bool = True,
-        allow_any_fold: bool = False,
     ) -> "SearchSpace":
-        return super().__new__(cls, k, h, max_element, regime, gcd_reduce, allow_any_fold)
+        return super().__new__(cls, k, h, max_element, regime, gcd_reduce)
 
     def __post_init__(self) -> None:
         if self.regime not in (REGIME_POSITIVE, REGIME_ZERO):
@@ -160,22 +158,17 @@ class SearchSpace(Value):
             )
         if not 1 <= self.h <= self.k:
             raise BadParams(f"need 1 <= h <= k = {self.k}, got h = {self.h}")
-        if not self.allow_any_fold and not direct_window(self.k, self.h):
-            raise BadParams(
-                f"stated hypotheses need 3 <= h <= k-1 = {self.k - 1}, got "
-                f"h = {self.h}; pass --allow-any-fold to search outside them"
-            )
         if self.table_bits > TABLE_BITS_CAP:
-            raise SpaceTooLarge(
+            raise CostCapExceeded(
                 f"search tables need about {self.table_bits} bits, over the cap "
                 f"{TABLE_BITS_CAP}"
             )
         if self.total_sets > SPACE_CAP:
-            raise SpaceTooLarge(
+            raise CostCapExceeded(
                 f"space has {self.total_sets} sets, over the cap {SPACE_CAP}"
             )
         if self.h > MAX_FOLD:
-            raise FoldTooLarge(f"fold count {self.h} exceeds supported cap {MAX_FOLD}")
+            raise BadParams(f"fold count {self.h} exceeds supported cap {MAX_FOLD}")
 
     @property
     def choose_k(self) -> int:

@@ -14,7 +14,7 @@ once and checks the three claims every family makes:
 A verified family certifies |target| >= claimed_total (+ |baseline| when a
 baseline is present) with no trust in the sumset engine's counting, only in
 its membership answers.  Each lemma's hypotheses are predicates of the
-bound catalogue; a generator raises HypothesisViolated naming the lemma and
+bound catalogue; a generator raises BadParams naming the lemma and
 its hypotheses when they fail.  A generated family whose checks fail is a
 falsification event to report, never an exception.
 """
@@ -37,7 +37,7 @@ from .bounds import (
     mixed_case3_base,
 )
 from .engine import SumsetVariant, compute_dp
-from .errors import BadParams, HypothesisViolated
+from .errors import BadParams
 from .intset import IntegerSet, SumsetResult, subsums
 
 TARGET_RSS = "rss"
@@ -118,7 +118,7 @@ class WitnessFamily(NamedTuple):
 
 def _require(lemma: str, holds: bool, hypotheses: str, given: str) -> None:
     if not holds:
-        raise HypothesisViolated(f"{lemma} needs {hypotheses}; got {given}")
+        raise BadParams(f"{lemma} needs {hypotheses}; got {given}")
 
 
 def _part(name: str, values, branch: Optional[str] = None) -> WitnessPart:
@@ -135,7 +135,7 @@ def witness_parity_split(A: IntegerSet, h: int, r: Optional[int]) -> WitnessFami
     elements disjoint from the full fold of A minus its r-th element.
     """
     if r is None:
-        raise HypothesisViolated("parity-split needs the 1-based index r of an odd-one-out element")
+        raise BadParams("parity-split needs the 1-based index r of an odd-one-out element")
     e = A.elements
     case1 = catalogue_entry("MixedParity_case1")
     _require(
@@ -420,7 +420,7 @@ def ordering_guards_hold(family: WitnessFamily) -> bool:
         # upper-sums is the unsigned fold minus its minimum z, so upper[0]
         # is the fold's second-smallest sum, which must clear beta.
         return ok and (not upper or beta < upper[0])
-    raise HypothesisViolated(f"unknown lemma {family.lemma!r}")
+    raise BadParams(f"unknown lemma {family.lemma!r}")
 
 
 def generate(lemma: str, A: IntegerSet, h: Optional[int] = None,
@@ -439,7 +439,7 @@ def generate(lemma: str, A: IntegerSet, h: Optional[int] = None,
             )
         return witness_odd_subsums(A)
     if h is None:
-        raise HypothesisViolated(f"lemma {lemma!r} needs a fold count")
+        raise BadParams(f"lemma {lemma!r} needs a fold count")
     if lemma == LEMMA_PARITY_SPLIT:
         return witness_parity_split(A, h, r)
     if lemma == LEMMA_MIXED_PARITY_A3:
@@ -448,4 +448,4 @@ def generate(lemma: str, A: IntegerSet, h: Optional[int] = None,
         return witness_mixed_parity_a2(A, h)
     if lemma == LEMMA_ALL_ODD_EXTENSION:
         return witness_all_odd_extension(A, h)
-    raise HypothesisViolated(f"unknown lemma {lemma!r}; known: {list(ALL_LEMMAS)}")
+    raise BadParams(f"unknown lemma {lemma!r}; known: {list(ALL_LEMMAS)}")

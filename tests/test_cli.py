@@ -280,13 +280,18 @@ class TestSearch:
             "4,3,9,positive,16,16,0,1,false",
         ]
 
-    def test_bad_fold_window(self, capsys):
-        code, _, err = run(capsys, "search", "--k", "4", "--h", "4", "--max", "9")
-        assert code == 2 and "--allow-any-fold" in err
+    def test_fold_outside_the_window_is_labelled(self, capsys):
+        # h = k is outside 3 <= h <= k-1: the space runs, labelled, and is
+        # never falsified.
+        code, out, err = run(capsys, "search", "--k", "4", "--h", "4", "--max", "9")
+        assert code == 0 and err == ""
+        text = lines_of(out)
+        assert text[0] == "k=4 h=4 max=9 regime=positive/outside-stated-hypotheses"
+        assert text[-1] == "falsified=false"
 
     def test_fold_cap(self, capsys):
         code, out, err = run(capsys, "search", "--k", "65", "--h", "65", "--max", "65",
-                             "--allow-any-fold", "--workers", "1")
+                             "--workers", "1")
         assert code == 2 and out == ""
         assert err == "error: fold count 65 exceeds supported cap 64\n"
 
@@ -358,7 +363,7 @@ class TestWitness:
     def test_hypothesis_violation_exits_two(self, capsys):
         code, _, err = run(capsys, "witness", "--lemma", "parity-split",
                            "--set", "1,3,5,7,9", "--h", "4", "--r", "3")
-        assert code == 2 and err.startswith("error:")
+        assert code == 2 and err.startswith("error: parity-split needs ")
 
     def test_odd_subsums_rejects_mismatched_fold(self, capsys):
         code, _, err = run(capsys, "witness", "--lemma", "odd-subsums",
@@ -572,6 +577,14 @@ class TestCapProbes:
                                       "--variant", "plain", "--h", "64")
         assert rc == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert seconds < 0.1
+
+    def test_subset_sums_over_budget(self):
+        # 30 powers of two: 2^30 subset sums, inside the old 30-element cap.
+        powers = ",".join(str(1 << i) for i in range(30))
+        rc, seconds, err = self.probe("compute", "--set", powers, "--variant", "subsums")
+        assert rc == 2
+        assert err.startswith("error: subset sums would take ") and len(err.splitlines()) == 1
         assert seconds < 0.1
 
 

@@ -2,15 +2,10 @@ import pickle
 
 import pytest
 
-from sumsetlab.errors import (
-    BadParams,
-    EmptyInput,
-    Overflow,
-    SizeCapExceeded,
-    TooSmall,
-)
+from sumsetlab.errors import BadParams, CostCapExceeded
 from sumsetlab.intset import (
     MAX_ELEMENT,
+    SUBSUMS_WORK_CAP,
     ArithmeticProgression,
     DiffClosure4,
     DilatedOddProgression,
@@ -33,7 +28,7 @@ class TestIntegerSet:
         assert str(A) == "{-3,0,5}"
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(BadParams, match="needs at least one element"):
             IntegerSet(())
 
     def test_unsorted_rejected(self):
@@ -50,9 +45,9 @@ class TestIntegerSet:
 
     def test_overflow(self):
         IntegerSet((MAX_ELEMENT,))
-        with pytest.raises(Overflow):
+        with pytest.raises(BadParams, match=r"outside supported range \[-2\^40, 2\^40\]"):
             IntegerSet((MAX_ELEMENT + 1,))
-        with pytest.raises(Overflow):
+        with pytest.raises(BadParams, match="outside supported range"):
             IntegerSet((-MAX_ELEMENT - 1, 0))
 
     def test_predicates(self):
@@ -63,7 +58,7 @@ class TestIntegerSet:
         assert IntegerSet((1, 3, 9)).remove(3).elements == (1, 9)
         with pytest.raises(BadParams):
             IntegerSet((1, 3)).remove(2)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(BadParams, match="leaves an empty set"):
             IntegerSet((7,)).remove(7)
 
 
@@ -96,9 +91,15 @@ class TestHelpers:
         assert r.values == (-2, -1, 0, 1)
 
     def test_subsums_cap(self):
-        subsums(IntegerSet(tuple(range(1, 31))))
-        with pytest.raises(SizeCapExceeded):
-            subsums(IntegerSet(tuple(range(1, 32))))
+        # k * min(2^k, sum|a| + 1) insertions: 255 * 32641 for 1..255 fits
+        # the cap and 256 * 32897 for 1..256 does not.
+        assert 255 * 32641 <= SUBSUMS_WORK_CAP < 256 * 32897
+        assert subsums(IntegerSet(tuple(range(1, 256)))).cardinality == 32641
+        with pytest.raises(CostCapExceeded, match="set insertions"):
+            subsums(IntegerSet(tuple(range(1, 257))))
+        # 30 powers of two: 2^30 sums, refused before any is built.
+        with pytest.raises(CostCapExceeded, match="set insertions"):
+            subsums(IntegerSet(tuple(1 << i for i in range(30))))
 
 
 class TestClassification:
@@ -151,7 +152,7 @@ class TestClassification:
         assert classify_structure(IntegerSet((5, 9))) == ArithmeticProgression(5, 4)
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(BadParams, match="needs at least 2 elements"):
             classify_structure(IntegerSet((7,)))
 
 

@@ -19,7 +19,7 @@ from sumsetlab.engine import (
     count_dp,
     fold_restricted,
 )
-from sumsetlab.errors import BadParams, FoldTooLarge, PoolFailed, SpaceTooLarge
+from sumsetlab.errors import BadParams, CostCapExceeded, PoolFailed
 from sumsetlab.intset import IntegerSet, classify_structure
 from sumsetlab import search
 from sumsetlab.search import (
@@ -67,7 +67,7 @@ def brute_report(space):
 def one_free(max_element):
     """A space whose largest free element is its only one: C(t, 1) = t sets
     have a largest element <= t."""
-    return SearchSpace(2, 2, max_element, "zero", allow_any_fold=True)
+    return SearchSpace(2, 2, max_element, "zero")
 
 
 class TestPruneFloors:
@@ -142,7 +142,7 @@ class TestPartitionWork:
             (1, 52), (53, 105), (106, 157), (158, 210),
         ]
         # C(t, 3) <= i * 120 / 3 cuts at t = 7 (35 sets) and t = 8 (56).
-        assert _shard_ranges(SearchSpace(3, 2, 10, allow_any_fold=True), 3) == [
+        assert _shard_ranges(SearchSpace(3, 2, 10), 3) == [
             (3, 7), (8, 8), (9, 10),
         ]
 
@@ -181,7 +181,7 @@ class TestShardSplit:
         # Any cut between two values of the largest element must merge back
         # to the one-shard result.
         spaces = [
-            SearchSpace(k, h, max_element, regime, gcd_reduce, allow_any_fold=True)
+            SearchSpace(k, h, max_element, regime, gcd_reduce)
             for k, h, max_element, regime in (
                 (2, 2, 200, "zero"),  # one free element
                 (2, 1, 20, "positive"),  # two
@@ -227,7 +227,7 @@ class TestSearchSpaceValidation:
 
     def test_k_too_small(self):
         with pytest.raises(BadParams):
-            SearchSpace(1, 1, 9, allow_any_fold=True)
+            SearchSpace(1, 1, 9)
 
     def test_max_element_range(self):
         with pytest.raises(BadParams):
@@ -236,23 +236,26 @@ class TestSearchSpaceValidation:
             SearchSpace(4, 3, 3)  # no 4-subset of [1,3]
 
     def test_fold_window(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="need 1 <= h <= k = 4, got h = 5"):
             SearchSpace(4, 5, 9)  # h > k
-        with pytest.raises(BadParams):
-            SearchSpace(4, 2, 9)  # outside stated window...
-        SearchSpace(4, 2, 9, allow_any_fold=True)  # ...unless opted in
-        with pytest.raises(FoldTooLarge):
-            SearchSpace(65, 65, 65, allow_any_fold=True)  # h over MAX_FOLD
+        with pytest.raises(BadParams, match="need 1 <= h <= k = 4, got h = 0"):
+            SearchSpace(4, 0, 9)
+        # Outside the stated window 3 <= h <= k-1 the space is accepted and
+        # its report labelled, never falsified.
+        assert SearchSpace(4, 2, 9).regime_label == "positive/outside-stated-hypotheses"
+        with pytest.raises(BadParams, match="fold count 65 exceeds supported cap 64"):
+            SearchSpace(65, 65, 65)  # h over MAX_FOLD
 
     def test_space_cap(self):
-        with pytest.raises(SpaceTooLarge):
-            SearchSpace(10, 3, 200, allow_any_fold=True)
+        with pytest.raises(CostCapExceeded,
+                           match="space has 22451004309013280 sets, over the cap 1000000000"):
+            SearchSpace(10, 3, 200)
 
     def test_table_memory_cap(self):
         # One set, but k levels of tables 2 * h * max bits wide: about
         # 10 GiB, refused before anything is allocated.
         t0 = time.perf_counter()
-        with pytest.raises(SpaceTooLarge):
+        with pytest.raises(CostCapExceeded, match="search tables need about"):
             SearchSpace(60000, 3, 60000)
         assert time.perf_counter() - t0 < 0.05
         space = SearchSpace(4000, 3, 4000)
@@ -296,7 +299,7 @@ class TestMinimize:
 
     def test_matches_brute_force(self):
         spaces = [
-            SearchSpace(k, h, max_element, regime, gcd_reduce, allow_any_fold=True)
+            SearchSpace(k, h, max_element, regime, gcd_reduce)
             for k, h, max_element, regime in (
                 (4, 3, 12, "positive"),
                 (4, 1, 9, "positive"),  # every set ties, so the cap binds
@@ -364,7 +367,7 @@ class TestMinimize:
         assert report.falsified is False
 
     def test_full_fold_outside_hypotheses(self):
-        report = minimize(SearchSpace(4, 4, 9, allow_any_fold=True))
+        report = minimize(SearchSpace(4, 4, 9))
         assert report.regime == "positive/outside-stated-hypotheses"
         assert report.falsified is False
 
@@ -514,7 +517,7 @@ class TestSeedSet:
         # the space and, to prune at least as hard, count no more.
         for k in range(2, 13):
             for h in range(1, k):
-                space = SearchSpace(k, h, 2 * k - 1, allow_any_fold=True)
+                space = SearchSpace(k, h, 2 * k - 1)
                 assert space.seed_set.elements == tuple(range(1, 2 * k, 2))
                 seed, first = (
                     count_dp(s, SumsetVariant.RESTRICTED_SIGNED, h)
@@ -536,7 +539,7 @@ class TestSeedSet:
 
     @pytest.mark.parametrize("space", [
         SearchSpace(5, 3, 8),  # max < 2k - 1: no odd progression
-        SearchSpace(5, 5, 12, allow_any_fold=True),  # h = k
+        SearchSpace(5, 5, 12),  # h = k
         SearchSpace(6, 3, 15, regime="zero"),
     ], ids=["small-max", "h-equals-k", "zero"])
     def test_otherwise_the_first_set_seeds(self, space):

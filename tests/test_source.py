@@ -1,7 +1,8 @@
 """The library is pure Python with exact integer arithmetic: no float or
 complex literal, no true division, no use of `float`, and no import from
 outside the standard library anywhere under src/sumsetlab.  Every name the
-package exports has a caller outside its own definition."""
+package exports has a caller outside its own definition.  Every raise names
+one of the four error causes that errors.py defines."""
 
 import ast
 import re
@@ -78,3 +79,57 @@ def test_every_export_has_a_caller():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     used |= set(re.findall(r"\w+", readme))
     assert sorted(set(sumsetlab.__all__) - used) == []
+
+
+# One error type per cause (errors.py states the rule).
+CAUSES = {"BadParams", "CostCapExceeded", "RegimeUnsupported", "PoolFailed"}
+
+
+def stray_raises(tree: ast.AST) -> list[str]:
+    """Each raise that names no cause in CAUSES.  A module's __getattr__
+    may raise AttributeError, as PEP 562 asks of it."""
+    getattr_lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+            getattr_lines.update(range(node.lineno, node.end_lineno + 1))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise):
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else None
+        if name in CAUSES or (name == "AttributeError" and node.lineno in getattr_lines):
+            continue
+        found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_raise_names_a_cause(path):
+    assert stray_raises(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["raise ValueError('x')", "raise", "raise errors.BadParams('x')",
+     "def f():\n    raise AttributeError('x')"],
+)
+def test_raise_checker_flags(snippet):
+    assert stray_raises(ast.parse(snippet))
+
+
+def test_raise_checker_allows_causes():
+    code = ("try:\n    x()\nexcept KeyError as ex:\n    raise PoolFailed('x') from ex\n"
+            "raise BadParams\n"
+            "def __getattr__(name):\n    raise AttributeError(name)")
+    assert stray_raises(ast.parse(code)) == []
+
+
+def test_errors_define_one_type_per_cause():
+    tree = ast.parse((SOURCES[0].parent / "errors.py").read_text(encoding="utf-8"))
+    classes = {
+        node.name: [base.id for base in node.bases]
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    assert classes == {"SumsetLabError": ["Exception"],
+                       **{name: ["SumsetLabError"] for name in CAUSES}}

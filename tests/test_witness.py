@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import (
     random_parity_split_instance,
 )
 from sumsetlab.bounds import bound_catalogue
-from sumsetlab.errors import BadParams, HypothesisViolated
+from sumsetlab.errors import BadParams
 from sumsetlab.intset import IntegerSet
 from sumsetlab.witness import (
     ALL_LEMMAS,
@@ -25,6 +26,11 @@ from sumsetlab.witness import (
     witness_odd_subsums,
     witness_parity_split,
 )
+
+
+def violates(lemma):
+    """Expect the refusal of a set outside `lemma`'s hypotheses."""
+    return pytest.raises(BadParams, match=f"^{re.escape(lemma)} needs ")
 
 
 def assert_family_valid(family):
@@ -53,17 +59,17 @@ class TestParitySplit:
         # r must name an element whose parity differs from the first.
         A = IntegerSet((2, 4, 5, 6, 8))
         witness_parity_split(A, 4, 3)
-        with pytest.raises(HypothesisViolated):
+        with violates("parity-split"):
             witness_parity_split(A, 4, 4)  # 6 shares parity with 2
 
     def test_hypothesis_checks(self):
-        with pytest.raises(HypothesisViolated):
+        with violates("parity-split"):
             witness_parity_split(IntegerSet((1, 3, 5, 7, 9)), 4, 3)  # all odd
-        with pytest.raises(HypothesisViolated):
+        with violates("parity-split"):
             witness_parity_split(IntegerSet((1, 2, 4, 6, 8)), 4, 3)  # first two differ
-        with pytest.raises(HypothesisViolated):
+        with violates("parity-split"):
             witness_parity_split(IntegerSet((2, 4, 5, 6)), 4, 3)  # k != h+1
-        with pytest.raises(HypothesisViolated):
+        with violates("parity-split"):
             witness_parity_split(IntegerSet((0, 2, 5, 6, 8)), 4, 3)  # not positive
 
     def test_random_instances(self):
@@ -94,11 +100,11 @@ class TestOddSubsums:
         assert_family_valid(fam)
 
     def test_hypothesis_checks(self):
-        with pytest.raises(HypothesisViolated):
+        with violates("odd-subsums"):
             witness_odd_subsums(IntegerSet((1, 3, 4)))
-        with pytest.raises(HypothesisViolated):
+        with violates("odd-subsums"):
             witness_odd_subsums(IntegerSet((1, 3)))
-        with pytest.raises(HypothesisViolated):
+        with violates("odd-subsums"):
             witness_odd_subsums(IntegerSet((-3, 1, 5)))
 
     def test_random_instances(self):
@@ -130,11 +136,11 @@ class TestMixedParityA3:
         assert fam.baseline_set.elements == (2, 4, 6)
 
     def test_hypothesis_checks(self):
-        with pytest.raises(HypothesisViolated):
+        with violates("mixed-parity-a3"):
             witness_mixed_parity_a3(IntegerSet((1, 2, 5, 6)), 3)  # 3rd matches 1st
-        with pytest.raises(HypothesisViolated):
+        with violates("mixed-parity-a3"):
             witness_mixed_parity_a3(IntegerSet((1, 3, 5, 7)), 3)  # 2nd matches 1st
-        with pytest.raises(HypothesisViolated):
+        with violates("mixed-parity-a3"):
             witness_mixed_parity_a3(IntegerSet((1, 2, 4, 6)), 4)  # k != h+1
 
     def test_random_instances(self):
@@ -152,13 +158,13 @@ class TestMixedParityA2:
         assert_family_valid(fam)
 
     def test_needs_four_folds(self):
-        with pytest.raises(HypothesisViolated):
+        with violates("mixed-parity-a2"):
             witness_mixed_parity_a2(IntegerSet((1, 2, 3, 5)), 3)
 
     def test_hypothesis_checks(self):
-        with pytest.raises(HypothesisViolated):
+        with violates("mixed-parity-a2"):
             witness_mixed_parity_a2(IntegerSet((1, 2, 4, 6, 8)), 4)  # 3rd differs too
-        with pytest.raises(HypothesisViolated):
+        with violates("mixed-parity-a2"):
             witness_mixed_parity_a2(IntegerSet((1, 3, 5, 7, 9)), 4)  # 2nd matches
 
     def test_random_instances(self):
@@ -186,9 +192,9 @@ class TestAllOddExtension:
         assert fam.baseline_set is None and fam.baseline_values() is None
 
     def test_hypothesis_checks(self):
-        with pytest.raises(HypothesisViolated):
+        with violates("all-odd-extension"):
             witness_all_odd_extension(IntegerSet((1, 3, 5, 8)), 3)  # even element
-        with pytest.raises(HypothesisViolated):
+        with violates("all-odd-extension"):
             witness_all_odd_extension(IntegerSet((1, 3, 5)), 3)  # k != h+1
 
     def test_random_instances(self):
@@ -294,16 +300,16 @@ class TestDispatchAndSerialization:
             assert_family_valid(fam)
 
     def test_generate_requires_fold(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(BadParams, match="^lemma 'parity-split' needs a fold count$"):
             generate("parity-split", IntegerSet((2, 4, 5, 6, 8)))
 
     def test_generate_requires_r_for_parity_split(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(BadParams, match="^parity-split needs the 1-based index r"):
             generate("parity-split", IntegerSet((2, 4, 5, 6, 8)), h=4)
 
     def test_parity_split_requires_r_on_a_direct_call(self):
         # {2,4,5,6,8} meets MixedParity_case1 at h=4, so only r is missing.
-        with pytest.raises(HypothesisViolated, match="needs the 1-based index r"):
+        with pytest.raises(BadParams, match="^parity-split needs the 1-based index r"):
             witness_parity_split(IntegerSet((2, 4, 5, 6, 8)), 4, None)
 
     def test_generate_rejects_fold_odd_subsums_does_not_read(self):
@@ -318,7 +324,7 @@ class TestDispatchAndSerialization:
             generate(lemma, IntegerSet((1, 3, 5, 7)), h=3, r=3)
 
     def test_hypothesis_error_names_lemma_and_hypotheses(self):
-        with pytest.raises(HypothesisViolated) as exc:
+        with pytest.raises(BadParams) as exc:
             witness_mixed_parity_a2(IntegerSet((1, 2, 4, 6, 8)), 4)
         assert str(exc.value) == (
             "mixed-parity-a2 needs k = h+1, h >= 4, A positive, only the 2nd "
@@ -326,7 +332,7 @@ class TestDispatchAndSerialization:
         )
 
     def test_generate_unknown_lemma(self):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(BadParams, match="^unknown lemma 'no-such-lemma'; known: "):
             generate("no-such-lemma", IntegerSet((1, 3, 5)), h=3)
 
     def test_guards_reject_unknown_lemma(self):
@@ -335,7 +341,7 @@ class TestDispatchAndSerialization:
             "no-such-lemma", fam.base_set, fam.fold, fam.target_kind,
             fam.parts, fam.claimed_total,
         )
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(BadParams, match="^unknown lemma 'no-such-lemma'$"):
             ordering_guards_hold(bogus)
 
     def test_to_dict_schema(self):
@@ -356,20 +362,23 @@ class TestDispatchAndSerialization:
         assert target >= baseline + fam.claimed_total
 
 
-def _violates(make) -> bool:
+def _violates(lemma, generator, *args) -> bool:
     try:
-        make()
-    except HypothesisViolated:
+        generator(*args)
+    except BadParams as ex:
+        if not str(ex).startswith(f"{lemma} needs "):
+            raise
         return True
     return False
 
 
 def test_generators_accept_exactly_their_catalogue_hypotheses():
-    # Each generator must raise HypothesisViolated exactly when the catalogue
-    # predicates its lemma rests on fail: the union of the MixedParity_case2
-    # (case3) entries for mixed-parity-a3 (a2), RSS_base on all-odd sets for
-    # all-odd-extension, Odd_k_eq_h at h = |A| for odd-subsums, and
-    # MixedParity_case1 with an odd-one-out a_r, 3 <= r <= k, for parity-split.
+    # Each generator must refuse a set, with a BadParams naming its lemma,
+    # exactly when the catalogue predicates its lemma rests on fail: the
+    # union of the MixedParity_case2 (case3) entries for mixed-parity-a3
+    # (a2), RSS_base on all-odd sets for all-odd-extension, Odd_k_eq_h at
+    # h = |A| for odd-subsums, and MixedParity_case1 with an odd-one-out a_r,
+    # 3 <= r <= k, for parity-split.
     entries = {e.id: e for e in bound_catalogue()}
 
     def any_entry(prefix, A, h):
@@ -380,17 +389,21 @@ def test_generators_accept_exactly_their_catalogue_hypotheses():
         for combo in itertools.combinations(range(12), k):
             A = IntegerSet(combo)
             odd_ok = entries["Odd_k_eq_h"].hypotheses(A, k)
-            assert _violates(lambda: witness_odd_subsums(A)) is not odd_ok, combo
+            assert _violates("odd-subsums", witness_odd_subsums, A) is not odd_ok, combo
             for h in range(1, 9):
                 checked += 1
                 case1 = entries["MixedParity_case1"].hypotheses(A, h)
                 for r in range(1, k + 2):
                     ok = case1 and 3 <= r <= k and (combo[r - 1] - combo[0]) % 2 == 1
-                    assert _violates(lambda: witness_parity_split(A, h, r)) is not ok, (combo, h, r)
+                    violated = _violates("parity-split", witness_parity_split, A, h, r)
+                    assert violated is not ok, (combo, h, r)
                 a3_ok = any_entry("MixedParity_case2", A, h)
-                assert _violates(lambda: witness_mixed_parity_a3(A, h)) is not a3_ok, (combo, h)
+                violated = _violates("mixed-parity-a3", witness_mixed_parity_a3, A, h)
+                assert violated is not a3_ok, (combo, h)
                 a2_ok = any_entry("MixedParity_case3", A, h)
-                assert _violates(lambda: witness_mixed_parity_a2(A, h)) is not a2_ok, (combo, h)
+                violated = _violates("mixed-parity-a2", witness_mixed_parity_a2, A, h)
+                assert violated is not a2_ok, (combo, h)
                 ext_ok = entries["RSS_base"].hypotheses(A, h) and A.all_odd()
-                assert _violates(lambda: witness_all_odd_extension(A, h)) is not ext_ok, (combo, h)
+                violated = _violates("all-odd-extension", witness_all_odd_extension, A, h)
+                assert violated is not ext_ok, (combo, h)
     assert checked == 3301 * 8
