@@ -121,13 +121,17 @@ MIXED_CASE2_TEXT = "k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in 
 MIXED_CASE3_TEXT = "k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st"
 
 
+def _base_case(A: IntegerSet, h: int, h0: int) -> bool:
+    """A positive, k = h+1, h >= h0: the direct bound's base case, which
+    RSS_base states at h0 = 3 and the mixed-parity entries refine."""
+    return len(A) == h + 1 and h >= h0 and A.min >= 1
+
+
 def mixed_case2_base(A: IntegerSet, h: int) -> bool:
     """MIXED_CASE2_TEXT: the union of the two MixedParity_case2 entries."""
     e = A.elements
     return (
-        len(A) == h + 1
-        and h >= 3
-        and A.min >= 1
+        _base_case(A, h, 3)
         and (e[1] - e[0]) % 2 == 1
         and (e[2] - e[0]) % 2 == 1
     )
@@ -137,9 +141,7 @@ def mixed_case3_base(A: IntegerSet, h: int) -> bool:
     """MIXED_CASE3_TEXT: the union of the four MixedParity_case3 entries."""
     e = A.elements
     return (
-        len(A) == h + 1
-        and h >= 4
-        and A.min >= 1
+        _base_case(A, h, 4)
         and (e[1] - e[0]) % 2 == 1
         and (e[2] - e[0]) % 2 == 0
     )
@@ -176,7 +178,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_base",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 2 * h + 1,
-        hypotheses=lambda A, h: A.min >= 1 and h >= 3 and len(A) == h + 1,
+        hypotheses=lambda A, h: _base_case(A, h, 3),
         formula_text="h^2 + 2*h + 1",
         hypotheses_text="A positive, k = h+1, h >= 3",
         source="base case of the direct bound, one element more than the fold count",
@@ -279,9 +281,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case1",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 3 * h + 2,
-        hypotheses=lambda A, h: len(A) == h + 1
-        and h >= 3
-        and A.min >= 1
+        hypotheses=lambda A, h: _base_case(A, h, 3)
         and (A.elements[1] - A.elements[0]) % 2 == 0
         and any((a - A.elements[0]) % 2 == 1 for a in A.elements[2:]),
         formula_text="h^2 + 3*h + 2",

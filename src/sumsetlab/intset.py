@@ -169,7 +169,8 @@ def subsums(A: IntegerSet) -> SumsetResult:
     sums = {0}
     for a in A.elements:
         sums |= {s + a for s in sums}
-    return SumsetResult.from_values(sums)
+    # sums is a set already: sort it once, with no deduplicating copy.
+    return SumsetResult(tuple(sorted(sums)), len(sums))
 
 
 # --- structure classification ---------------------------------------------

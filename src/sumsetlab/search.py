@@ -78,7 +78,15 @@ from .engine import (
     fold_restricted,
 )
 from .errors import BadParams, CostCapExceeded, PoolFailed
-from .intset import MAX_ELEMENT, IntegerSet, Value, classify_structure, field
+from .intset import (
+    MAX_ELEMENT,
+    ArithmeticProgression,
+    DilatedOddProgression,
+    IntegerSet,
+    Value,
+    classify_structure,
+    field,
+)
 
 OUTSIDE_HYPOTHESES = "outside-stated-hypotheses"
 
@@ -198,7 +206,8 @@ class SearchSpace(Value):
     @property
     def first_set(self) -> IntegerSet:
         """The space's first set in colex order: {1..k}, or {0..k-1}."""
-        return IntegerSet(self.materialize(tuple(range(self.choose_k))))
+        first = 0 if self.regime == REGIME_ZERO else 1
+        return ArithmeticProgression(first, 1).reconstruct(self.k)
 
     @property
     def seed_set(self) -> IntegerSet:
@@ -212,7 +221,7 @@ class SearchSpace(Value):
         """
         k = self.k
         if self.regime == REGIME_POSITIVE and self.h < k and 2 * k - 1 <= self.max_element:
-            return IntegerSet(tuple(range(1, 2 * k, 2)))
+            return DilatedOddProgression(1).reconstruct(k)
         return self.first_set
 
     @property
@@ -234,13 +243,6 @@ class SearchSpace(Value):
         if self.hypotheses_hold:
             return self.regime
         return f"{self.regime}/{OUTSIDE_HYPOTHESES}"
-
-    def materialize(self, combo: tuple[int, ...]) -> tuple[int, ...]:
-        """Turn a 0-based free-position combo into the actual element tuple."""
-        elems = tuple(v + 1 for v in combo)
-        if self.regime == REGIME_ZERO:
-            return (0,) + elems
-        return elems
 
 
 def _shard_ranges(space: SearchSpace, shards: int) -> list[tuple[int, int]]:
@@ -283,7 +285,7 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     # pinned 0 is the top level, k - 1.  The level of the largest free
     # element runs over the shard's [lo, hi]: it is the top level, or the
     # one below the pinned 0, the only level whose parent element is 0.
-    pinned = space.materialize(())
+    pinned = (0,) if space.regime == REGIME_ZERO else ()
     # tables[p]: rss layer tables of the elements at levels p and up, folded
     # top level first; tables[p][-1 - i] is layer h - i.  Only layers
     # j >= h - p are exact: the p smaller elements still to come lift a sum

@@ -17,6 +17,11 @@ its membership answers.  Each lemma's hypotheses are predicates of the
 bound catalogue; a generator raises BadParams naming the lemma and
 its hypotheses when they fail.  A generated family whose checks fail is a
 falsification event to report, never an exception.
+
+The three k = h+1 lemmas (parity-split and both mixed-parity cases) share
+one layout, built once by _block_family: blocks of pairwise sign flips from
+u up to -u, with a shifted cluster between each two neighbouring blocks.
+ordering_guards_hold checks that chain for all three with one test.
 """
 
 from __future__ import annotations
@@ -125,6 +130,41 @@ def _part(name: str, values, branch: Optional[str] = None) -> WitnessPart:
     return WitnessPart(name, tuple(sorted(values)), branch)
 
 
+def _block_family(
+    lemma: str, A: IntegerSet, h: int, u: int, first: int, cluster: list[int],
+    labels: list[str], branch: Optional[str], removed: int, extra: int,
+) -> WitnessFamily:
+    """The block/cluster layout shared by the three k = h+1 lemmas.
+
+    block-0 is [u] and block-h is [-u].  In between, block-j flips the signs
+    of the j-1 largest elements and of one more element a_m, m from `first`
+    (0-based) up to the element below them: u + 2*(a_m + tail_j), tail_j
+    the sum of those j-1.  One copy of `cluster` per label follows, the i-th
+    shifted up by 2*tail_{i+1}; the proofs place it between blocks i and
+    i+1, which ordering_guards_hold checks.  The family claims h(h+1)/2 +
+    extra elements outside the full fold of A minus `removed`.
+    """
+    e = A.elements
+    tails = [sum(e[h + 2 - j : h + 1]) for j in range(h + 1)]
+    parts = [_part("block-0", [u])]
+    for j in range(1, h):
+        parts.append(
+            _part(f"block-{j}", [u + 2 * (e[m] + tails[j]) for m in range(first, h + 2 - j)])
+        )
+    parts.append(_part(f"block-{h}", [-u]))
+    for i, label in enumerate(labels):
+        parts.append(_part(label, [c + 2 * tails[i + 1] for c in cluster], branch))
+    return WitnessFamily(
+        lemma=lemma,
+        base_set=A,
+        fold=h,
+        target_kind=TARGET_RSS,
+        parts=tuple(parts),
+        claimed_total=h * (h + 1) // 2 + extra,
+        baseline_set=A.remove(removed),
+    )
+
+
 def witness_parity_split(A: IntegerSet, h: int, r: Optional[int]) -> WitnessFamily:
     """Family for: k = h+1 positive, first two elements share parity, the
     r-th (1-based, r >= 3) differs.
@@ -148,24 +188,10 @@ def witness_parity_split(A: IntegerSet, h: int, r: Optional[int]) -> WitnessFami
 
     u = -sum(e[1:])
     v = -sum(e[2:])
-    parts = [_part("block-0", [u])]
-    for j in range(1, h + 1):
-        tail = sum(e[h - j + 2 : h + 1])
-        parts.append(
-            _part(f"block-{j}", [u + 2 * (tail + e[m]) for m in range(1, h - j + 2)])
-        )
-    for j in range(1, h + 1):
-        tail = sum(e[h - j + 2 : h + 1])
-        parts.append(_part(f"pair-{j}", [v + 2 * tail + e[0], v + 2 * tail - e[0]]))
-
-    return WitnessFamily(
-        lemma=LEMMA_PARITY_SPLIT,
-        base_set=A,
-        fold=h,
-        target_kind=TARGET_RSS,
-        parts=tuple(parts),
-        claimed_total=h * (h + 1) // 2 + 2 * h + 1,
-        baseline_set=A.remove(e[r - 1]),
+    return _block_family(
+        LEMMA_PARITY_SPLIT, A, h, u, first=1, cluster=[v - e[0], v + e[0]],
+        labels=[f"pair-{j}" for j in range(1, h + 1)], branch=None,
+        removed=e[r - 1], extra=2 * h + 1,
     )
 
 
@@ -175,24 +201,13 @@ def witness_odd_subsums(A: IntegerSet) -> WitnessFamily:
     Runs of sums share a fixed top-tail and vary one remaining element;
     shifted runs add the smallest element on top.  Each gap between a run's
     two largest sums admits one extra filler whose placement depends on how
-    the gap compares to the two smallest elements.  h = 3 is explicit: all
-    eight subset sums are distinct by parity.
+    the gap compares to the two smallest elements.  At h = 3 there is no
+    filler: the runs and the one shifted run are all eight subset sums.
     """
     e = A.elements
     h = len(e)
     odd = catalogue_entry("Odd_k_eq_h")
     _require(LEMMA_ODD_SUBSUMS, odd.hypotheses(A, h), odd.hypotheses_text, f"A={A}")
-
-    if h == 3:
-        sums = [0, e[0], e[1], e[2], e[0] + e[1], e[0] + e[2], e[1] + e[2], sum(e)]
-        return WitnessFamily(
-            lemma=LEMMA_ODD_SUBSUMS,
-            base_set=A,
-            fold=h,
-            target_kind=TARGET_SUBSUMS,
-            parts=(_part("all-subsums", sums, branch="explicit-h3"),),
-            claimed_total=8,
-        )
 
     parts = [_part("run-0", [0])]
     tails = [None] + [sum(e[h - j + 1 : h]) for j in range(1, h + 1)]
@@ -231,37 +246,6 @@ def witness_odd_subsums(A: IntegerSet) -> WitnessFamily:
     )
 
 
-def _mixed_parity_family(
-    A: IntegerSet, h: int, lemma: str, u: int, v: int, cluster0: list[int],
-    removed: int, claimed_total: int, branch: Optional[str],
-) -> WitnessFamily:
-    """Shared block/cluster layout of the two mixed-parity lemmas."""
-    e = A.elements
-    parts = [_part("block-0", [u])]
-    for j in range(1, h):
-        tail = sum(e[h + 2 - j : h + 1])
-        parts.append(
-            _part(
-                f"block-{j}",
-                [u + 2 * (e[m] + tail) for m in range(2, h + 2 - j)],
-            )
-        )
-    parts.append(_part(f"block-{h}", [-u]))
-    parts.append(_part("cluster-0", cluster0, branch))
-    for j in range(1, h - 1):
-        shift = 2 * sum(e[h + 1 - j : h + 1])
-        parts.append(_part(f"cluster-{j}", [shift + c for c in cluster0], branch))
-    return WitnessFamily(
-        lemma=lemma,
-        base_set=A,
-        fold=h,
-        target_kind=TARGET_RSS,
-        parts=tuple(parts),
-        claimed_total=claimed_total,
-        baseline_set=A.remove(removed),
-    )
-
-
 def witness_mixed_parity_a3(A: IntegerSet, h: int) -> WitnessFamily:
     """Family for: k = h+1 positive, 2nd and 3rd elements both differ in
     parity from the 1st.
@@ -277,14 +261,15 @@ def witness_mixed_parity_a3(A: IntegerSet, h: int) -> WitnessFamily:
 
     u = -(e[0] + sum(e[2:]))
     v = -(e[0] + e[1] + sum(e[3:]))
-    cluster0 = sorted({u + 2 * e[0], v, v + 2 * e[0], v + 2 * e[1]})
     if e[2] == 2 * e[0] + e[1]:
         branch, extra = "third-tied", 2 * h - 1
     else:
         branch, extra = "third-free", 3 * h - 2
-    return _mixed_parity_family(
-        A, h, LEMMA_MIXED_PARITY_A3, u, v, cluster0,
-        removed=e[0], claimed_total=h * (h + 1) // 2 + extra, branch=branch,
+    return _block_family(
+        LEMMA_MIXED_PARITY_A3, A, h, u, first=2,
+        cluster=sorted({u + 2 * e[0], v, v + 2 * e[0], v + 2 * e[1]}),
+        labels=[f"cluster-{j}" for j in range(h - 1)], branch=branch,
+        removed=e[0], extra=extra,
     )
 
 
@@ -292,19 +277,20 @@ def witness_mixed_parity_a2(A: IntegerSet, h: int) -> WitnessFamily:
     """Family for: k = h+1 positive, only the 2nd element differs in parity
     from the 1st (3rd matches the 1st).
 
-    Same block/cluster layout as the 3rd-element case, but anchored at the
-    full fold omitting the 2nd element, with 2-point clusters.  Exhibits
-    h(h+1)/2 + h elements disjoint from that full fold.
+    The block/cluster layout of parity-split and the 3rd-element case
+    (_block_family), its blocks starting from the full fold omitting the 1st
+    element, with 2-point clusters.  Exhibits h(h+1)/2 + h elements disjoint
+    from the full fold omitting the 2nd element.
     """
     _require(LEMMA_MIXED_PARITY_A2, mixed_case3_base(A, h), MIXED_CASE3_TEXT, f"A={A}, h={h}")
     e = A.elements
 
     u = -sum(e[1:])
     v = -(e[0] + e[1] + sum(e[3:]))
-    cluster0 = [v, v + 2 * e[0]]
-    return _mixed_parity_family(
-        A, h, LEMMA_MIXED_PARITY_A2, u, v, cluster0,
-        removed=e[1], claimed_total=h * (h + 1) // 2 + h, branch=None,
+    return _block_family(
+        LEMMA_MIXED_PARITY_A2, A, h, u, first=2, cluster=[v, v + 2 * e[0]],
+        labels=[f"cluster-{j}" for j in range(h - 1)], branch=None,
+        removed=e[1], extra=h,
     )
 
 
@@ -376,15 +362,13 @@ def ordering_guards_hold(family: WitnessFamily) -> bool:
         return by_name[name].values[-1]
 
     h = family.fold
-    if family.lemma == LEMMA_PARITY_SPLIT:
-        return all(
-            hi(f"block-{i}") < lo(f"pair-{i + 1}")
-            and hi(f"pair-{i + 1}") < lo(f"block-{i + 1}")
-            for i in range(h)
-        )
+    if family.lemma in (LEMMA_PARITY_SPLIT, LEMMA_MIXED_PARITY_A3, LEMMA_MIXED_PARITY_A2):
+        # _block_family's layout: blocks 0..h, then the clusters; the proofs
+        # place cluster i between blocks i and i+1.
+        blocks, clusters = family.parts[: h + 1], family.parts[h + 1 :]
+        chain = [p for i, block in enumerate(blocks) for p in (block, *clusters[i : i + 1])]
+        return all(a.values[-1] < b.values[0] for a, b in zip(chain, chain[1:]))
     if family.lemma == LEMMA_ODD_SUBSUMS:
-        if h == 3:
-            return True
         ok = all(hi(f"run-{i}") < lo(f"run-{i + 1}") for i in range(h))
         ok = ok and all(
             hi(f"run-{i}") < lo(f"shifted-run-{i + 1}") for i in range(1, h - 2)
@@ -402,13 +386,6 @@ def ordering_guards_hold(family: WitnessFamily) -> bool:
             else:
                 ok = ok and hi(f"run-{j}") < alpha < lo(f"shifted-run-{j + 1}")
         return ok
-    if family.lemma in (LEMMA_MIXED_PARITY_A3, LEMMA_MIXED_PARITY_A2):
-        ok = all(
-            hi(f"block-{i}") < lo(f"cluster-{i}")
-            and hi(f"cluster-{i}") < lo(f"block-{i + 1}")
-            for i in range(h - 1)
-        )
-        return ok and hi(f"block-{h - 1}") < lo(f"block-{h}")
     if family.lemma == LEMMA_ALL_ODD_EXTENSION:
         e = family.base_set.elements
         inner = by_name["inner-fold"].values

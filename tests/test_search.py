@@ -37,8 +37,9 @@ from sumsetlab.search import (
 def lex_sets(space):
     """Every set of the space in lexicographic element order, gcd filter
     not applied: an enumeration independent of the search's colex one."""
-    for combo in itertools.combinations(range(space.max_element), space.choose_k):
-        yield IntegerSet(space.materialize(combo))
+    pinned = (0,) if space.regime == "zero" else ()
+    for combo in itertools.combinations(range(1, space.max_element + 1), space.choose_k):
+        yield IntegerSet(pinned + combo)
 
 
 def brute_report(space):
@@ -544,6 +545,10 @@ class TestSeedSet:
     ], ids=["small-max", "h-equals-k", "zero"])
     def test_otherwise_the_first_set_seeds(self, space):
         assert space.seed_set == space.first_set
+
+    def test_first_set_is_the_first_in_colex_order(self):
+        assert SearchSpace(5, 3, 8).first_set.elements == (1, 2, 3, 4, 5)
+        assert SearchSpace(6, 3, 15, regime="zero").first_set.elements == (0, 1, 2, 3, 4, 5)
 
 
 class TestReportSerialization:

@@ -80,12 +80,14 @@ class TestParitySplit:
 
 
 class TestOddSubsums:
-    def test_h3_explicit(self):
-        fam = witness_odd_subsums(IntegerSet((1, 3, 5)))
-        assert fam.claimed_total == 8
-        assert fam.parts[0].branch == "explicit-h3"
-        assert fam.target_kind == "subsums"
-        assert_family_valid(fam)
+    def test_every_odd_triple(self):
+        # At h = 3 the runs and the one shifted run are all 8 subset sums.
+        names = ["run-0", "run-1", "run-2", "run-3", "shifted-run-1"]
+        for triple in itertools.combinations(range(1, 60, 2), 3):
+            fam = witness_odd_subsums(IntegerSet(triple))
+            assert fam.claimed_total == 8 and fam.target_kind == "subsums"
+            assert [p.name for p in fam.parts] == names, triple
+            assert_family_valid(fam)
 
     def test_reference_instance(self):
         fam = witness_odd_subsums(IntegerSet((1, 3, 5, 7)))
@@ -276,6 +278,11 @@ class TestOrderingGuards:
         (witness_parity_split(IntegerSet((2, 4, 5, 6, 8)), 4, 3), "block-0", 10**6),
         (witness_mixed_parity_a3(IntegerSet((1, 2, 6, 8)), 3), "block-0", 10**6),
         (witness_mixed_parity_a2(IntegerSet((1, 2, 3, 5, 7)), 4), "block-0", 10**6),
+        # A middle cluster moved into a neighbouring block stays in order
+        # with the other clusters: only the interleaving catches it.
+        (witness_parity_split(IntegerSet((2, 4, 5, 6, 8)), 4, 3), "pair-2", 4),
+        (witness_mixed_parity_a3(IntegerSet((1, 2, 6, 8)), 3), "cluster-1", -4),
+        (witness_mixed_parity_a2(IntegerSet((1, 2, 3, 5, 7)), 4), "cluster-1", 4),
         (witness_odd_subsums(IntegerSet((1, 3, 5, 7, 11))), "run-1", 10**6),
         (witness_all_odd_extension(IntegerSet((1, 3, 5, 9)), 3), "upper-sums", -10**6),
     ], ids=lambda v: v.lemma if isinstance(v, WitnessFamily) else None)
