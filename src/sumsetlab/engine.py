@@ -18,7 +18,9 @@ values, and count_dp returns its bit count without decoding, for callers
 that read only a cardinality (verify, the inverse verdicts, a text compute
 without --values, the search's starting minimum).  The restricted fold skips
 the layers that the elements still to come cannot lift to the top, and frees
-each layer once no later fold reads it.  fold_bits gives the size of one
+each layer once no later fold reads it.  It is private to the DP: the
+search's walk lifts its own layers one at a time, so that it can test a
+floor on each before it lifts the next.  fold_bits gives the size of one
 fold's tables; compute_dp's cap and the search's both read it.
 """
 
@@ -166,7 +168,7 @@ def _shift(bits: int, delta: int) -> int:
     return bits << delta if delta >= 0 else bits >> (-delta)
 
 
-def fold_restricted(dp: list[int], a: int, signed: bool, rest: int) -> None:
+def _fold_restricted(dp: list[int], a: int, signed: bool, rest: int) -> None:
     """Fold one element into restricted layer tables, in place.
 
     dp[j] gains dp[j-1] moved by a (and by -a when signed), for j from the
@@ -196,7 +198,7 @@ def _fold(A: IntegerSet, variant: SumsetVariant, h: int) -> tuple[int, int]:
     Elements are folded in one at a time; restricted variants consume weight
     1 per element, PLAIN and SIGNED spend weight equal to the multiplicity.
     A restricted fold keeps only the layers the remaining elements can still
-    lift to the top (see fold_restricted), and frees each layer no later
+    lift to the top (see _fold_restricted), and frees each layer no later
     fold reads.  Tables over TABLE_BITS_CAP bits in all raise
     CostCapExceeded before anything is allocated.  Returns the top layer
     dp[h] and the offset.
@@ -219,7 +221,7 @@ def _fold(A: IntegerSet, variant: SumsetVariant, h: int) -> tuple[int, int]:
             # and up, so layer h - rest - 2 is dead.
             if rest <= h - 2:
                 dp[h - rest - 2] = 0
-            fold_restricted(dp, a, signed, rest)
+            _fold_restricted(dp, a, signed, rest)
     elif variant is SumsetVariant.PLAIN:
         # Ascending weight lets one element repeat within its own pass.
         for a in e:

@@ -20,12 +20,14 @@ A shard counts each set's sumset without building it.  Colex order is the
 order of nested loops with the largest element outermost, so a shard walks
 its subtrees depth first.  The restricted-signed fold does not depend on
 element order, so each element from the largest down to the fourth-smallest
-first lifts only the top three layers of the tables above it and tests its
-floors on them; only if its subtree survives is it folded once into a copy
-of the layers below those three.  The third-smallest element stops at the
-three layers, plain ints, and the two smallest share one double loop over
-them: the second-smallest reduces them to two ints, and each smallest
-element then costs three shifts, two ors and a bit count.  The zero regime's pinned 0
+lifts the exact layers of the tables above it by one, top layer first, into
+its level's table, which the shard allocates once.  It tests each lifted
+layer's floor before it lifts the next, and stops at the first floor above
+the running minimum: its subtree is then skipped, and the layers below are
+never lifted.  The third-smallest element stops at the top three layers,
+plain ints, and the two smallest share one double loop over them: the
+second-smallest reduces them to two ints, and each smallest element then
+costs three shifts, two ors and a bit count.  The zero regime's pinned 0
 sits above the largest free element, so every space, down to one free
 element, takes the same walk.  Tables are offset by h * max, so a right
 shift never drops a set bit.  The gcd filter, an IntegerSet and a
@@ -33,18 +35,27 @@ classification cost something only for a set that ties or undercuts the
 shard's running minimum.
 
 The walk is a branch and bound.  Once the elements from the largest down
-to level p are folded, the tables hold the exact layers L_j(B), j >= h - p,
-of that suffix B.  The p elements still to come are distinct positive
-integers outside B, so every completion A has h^_+-(A) containing X + T for
-X = L_{h-1}(B), T = {+-x_i} (2p values), and for X = L_{h-2}(B), T = {+-s}
-with s the sum of two of them.  Since |X + T| >= |X| + |T| - 1 for finite
-integer sets, each completion counts at least |L_h(B)|, |L_{h-1}(B)| + 2p - 1
-and |L_{h-2}(B)| + 1, the last two only when their layer is non-empty.  For
-p >= 2 neither of the last two is attained (the docstring of
-tests/test_search.py::TestPruneFloors has the proof), so the walk uses
-|L_{h-1}(B)| + 2p and |L_{h-2}(B)| + 3.  A subtree whose floor is above the
-shard's running minimum is skipped whole.  The prune is strict, so every tie
-is still visited, counted and classified, and the report does not change.
+to level p are lifted, the tables hold the exact layers L_{h-j}(B),
+j <= p, of that suffix B.  The p elements still to come, C, are distinct
+positive integers outside B, so every completion A has h^_+-(A) containing
+X + L_j^+-(C) for X = L_{h-j}(B), where L_j^+-(C) holds the sums of j
+distinct elements of C, each with a sign.  Since |X + Y| >= |X| + |Y| - 1
+for finite non-empty integer sets, each completion counts at least
+|X| + |L_j^+-(C)| - 1 whenever X is non-empty.  layer_floor(j, p) is that
+excess over |X|:
+- j = 0: 0, from A's fold containing L_h(B).
+- j = 1: L_1^+-(C) = {+-c} has 2p values, so 2p - 1.  For p >= 2 that is
+  never attained (the docstring of tests/test_search.py::TestPruneFloors
+  has the proof), so the floor is 2p.
+- j = 2: L_2^+-(C) holds the four values +-(c + c') and +-(c - c') for
+  c > c' in C, so 3.
+- j >= 3: L_j^+-(C) holds the restricted j-fold sums j^C and their
+  negatives, disjoint by sign, and |j^C| >= jp - j^2 + 1, so
+  2(jp - j^2) + 1.
+A subtree whose floor is above the shard's running minimum is skipped
+whole.  The prune is strict, so every tie is still visited, counted and
+classified, and the report does not change.
+
 Every shard starts its running minimum at engine.count_dp of one set of
 the space (SearchSpace.seed_set), which the space's minimum can only tie or
 undercut: the odd progression {1, 3, ..., 2k - 1} where the positive regime
@@ -69,14 +80,7 @@ from .bounds import (
     catalogue_entry,
     dump_json,
 )
-from .engine import (
-    MAX_FOLD,
-    TABLE_BITS_CAP,
-    SumsetVariant,
-    count_dp,
-    fold_bits,
-    fold_restricted,
-)
+from .engine import MAX_FOLD, TABLE_BITS_CAP, SumsetVariant, count_dp, fold_bits
 from .errors import BadParams, CostCapExceeded, PoolFailed
 from .intset import (
     MAX_ELEMENT,
@@ -122,6 +126,19 @@ MINIMIZER_CAP = 64
 # BENCH_23.json has the full table of 49.  Under a start method other than
 # fork each worker starts slower, so its crossover is higher.
 SETS_PER_WORKER = 115_150
+
+
+def layer_floor(j: int, p: int) -> int:
+    """The fewest sums that p >= 2 elements still to come add to a non-empty
+    exact layer L_{h-j}(B), 0 <= j <= p: every completion of B counts at
+    least |L_{h-j}(B)| + layer_floor(j, p) (see the module docstring)."""
+    if j == 0:
+        return 0
+    if j == 1:
+        return 2 * p
+    if j == 2:
+        return 3
+    return 2 * (j * p - j * j) + 1
 
 
 def usable_cpus() -> int:
@@ -288,13 +305,20 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     pinned = (0,) if space.regime == REGIME_ZERO else ()
     # tables[p]: rss layer tables of the elements at levels p and up, folded
     # top level first; tables[p][-1 - i] is layer h - i.  Only layers
-    # j >= h - p are exact: the p smaller elements still to come lift a sum
-    # by at most p layers.  The offset h * max keeps every sum inside the
-    # table, so a right shift never drops a set bit.  Three zero layers pad
-    # each table below layer 0, so layers h - 1 to h - 3 exist for every h;
-    # a zero layer folds to zero, so the pad never changes a fold.
-    tables: list[list[int]] = [[] for _ in range(k)]
+    # h - i, i <= p, are exact: the p smaller elements still to come lift a
+    # sum by at most p layers, so level p writes only those and level p - 1
+    # reads only those.  Each level's table is allocated once per shard and
+    # overwritten by each of its elements.  The offset h * max keeps every
+    # sum inside the table, so a right shift never drops a set bit.  Three
+    # zero layers pad each table below layer 0, so layers h - 1 to h - 3
+    # exist for every h; a zero layer lifts to zero, so the pad stays zero.
+    tables = [[0] * (h + 4) for _ in range(k)]
     tables.append([0, 0, 0, 1 << h * space.max_element] + [0] * h)
+    # floors[p][i] = layer_floor(i, p) for each layer h - i that level
+    # p >= 2 lifts: the top three, then the exact ones down to h - min(p, h).
+    floors = [[], []] + [
+        [layer_floor(i, p) for i in range(max(2, min(p, h)) + 1)] for p in range(2, k)
+    ]
     # Every shard starts its minimum at the count of the space's seed set.
     best = count_dp(space.seed_set, SumsetVariant.RESTRICTED_SIGNED, h)
     # The walk keeps its own stack rather than recursing: SPACE_CAP admits
@@ -313,35 +337,39 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
             if a is None:
                 p += 1
                 continue
-            # Level p's element lifts the top three layers of the tables
-            # above it by one: only they decide whether the subtree can
-            # reach best.  The p elements still to come add at least 2p
-            # sums to layer h - 1 and three to layer h - 2 (see the module
-            # docstring).  Ties are kept, so only a floor above best skips
-            # the subtree.
+            # Level p's element lifts the layers of the tables above it by
+            # one, top layer first, and each lifted layer's floor is tested
+            # before the next is lifted (see the module docstring).  Ties
+            # are kept, so only a floor above best skips the subtree.  The
+            # top three layers are lifted inline: level 2 needs no more.
             above = tables[p + 1]
+            floor = floors[p]
             x, y, z = above[-2], above[-3], above[-4]
             t = above[-1] | x << a | x >> a
             u = x | y << a | y >> a
             v = y | z << a | z >> a
             if (
                 t.bit_count() > best
-                or u and u.bit_count() + 2 * p > best
-                or v and v.bit_count() + 3 > best
+                or u and u.bit_count() + floor[1] > best
+                or v and v.bit_count() + floor[2] > best
             ):
                 continue
             vals[p] = a
             opened = range(p, a) if a else range(lo, hi + 1)
             if p > 2:
-                # The subtree survives: fold the element into a copy of the
-                # layers below the three it has lifted, from h - 3 down to
-                # the last exact one, h - p, and open the level below.
-                layer = above[:-3]
-                fold_restricted(layer, a, True, p - 3)
-                layer += v, u, t
-                tables[p] = layer
-                p -= 1
-                levels[p] = iter(opened)
+                # Lift the rest of the exact layers, h - 3 down to h - p.
+                layer = tables[p]
+                for i in range(3, len(floor)):
+                    low = above[-2 - i]
+                    lifted = above[-1 - i] | low << a | low >> a
+                    if lifted and lifted.bit_count() + floor[i] > best:
+                        break
+                    layer[-1 - i] = lifted
+                else:
+                    # The subtree survives: open the level below.
+                    layer[-1], layer[-2], layer[-3] = t, u, v
+                    p -= 1
+                    levels[p] = iter(opened)
                 continue
             # Level 2's three exact layers are all levels 1 and 0 read.
             a1s = opened
@@ -356,7 +384,8 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
         for a1 in a1s:
             top = t | u << a1 | u >> a1
             below = u | v << a1 | v >> a1
-            # Each set of the range counts at least |top| and |below| + 1.
+            # Each set of the range counts at least |top| and |below| + 1:
+            # at p = 1 the j = 1 floor is the sumset inequality's 2p - 1.
             if top.bit_count() > best or below.bit_count() >= best:
                 continue
             for a in range(1, a1) if a1 else range(lo, hi + 1):

@@ -138,7 +138,7 @@ def test_criterion_4_oracle_dp_equivalence_sweep(report):
 def test_criterion_5_direct_theorem_exhaustive(report):
     t0 = time.perf_counter()
     failures = []
-    grid = [(k, h) for k in range(4, 10) for h in range(3, k)]
+    grid = [(k, h) for k in range(4, 11) for h in range(3, k)]
     for k, h in grid:
         rep = minimize(SearchSpace(k, h, 2 * k + 5), shards=4)
         want = 2 * h * k - h * h + 1

@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab.bounds import Prediction
-from sumsetlab.engine import (
-    SumsetVariant,
-    compute_dp,
-    compute_oracle,
-    count_dp,
-    fold_restricted,
-)
+from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle, count_dp
 from sumsetlab.errors import BadParams, CostCapExceeded, PoolFailed
 from sumsetlab.intset import IntegerSet, classify_structure
 from sumsetlab import search
@@ -72,23 +66,31 @@ def one_free(max_element):
 
 
 class TestPruneFloors:
-    """The walk's three floors hold for every completion.  The sumset
-    inequality gives |L_{h-1}(B)| + 2p - 1 and |L_{h-2}(B)| + 1; neither is
-    ever attained, so the walk prunes on |L_{h-1}(B)| + 2p and
-    |L_{h-2}(B)| + 3, which the test checks directly.
+    """Every completion A of a suffix B by p >= 2 elements C counts at least
+    |L_{h-j}(B)| + layer_floor(j, p) for each non-empty exact layer
+    L_{h-j}(B), j <= min(p, h); the walk prunes only on these floors.
 
-    A completion A is a suffix B plus p >= 2 distinct positive elements C
-    below B's positive ones (B may hold the zero regime's pinned 0).
-    - |L_{h-2}(B)| + 1: for c > c' in C, A's fold holds L_{h-2}(B) moved by
-      the four distinct shifts +-(c + c') and +-(c - c'), so it counts at
-      least |L_{h-2}(B)| + 3.
-    - |X| + 2p - 1, X = L_{h-1}(B), T = {+-c : c in C}: if B's h largest
-      elements are positive, L_h(B) has a sum above max X + max C, outside
-      X + T.  Otherwise X = {0} (B = {0}, h = 2; then A's fold also holds
-      max C + min C, outside T), or X's two largest sums differ by b or 2b
-      for b = min(B - {0}).  |X + T| = |X| + |T| - 1 would need X and T to
-      be progressions of one difference (the equality case of the sumset
-      inequality), 2 * min C for the symmetric T; but b > max C >= 3 * min C.
+    C is distinct positive integers below B's positive elements (B may hold
+    the zero regime's pinned 0), so A's fold holds X + Y for X = L_{h-j}(B)
+    and Y = L_j^+-(C), the sums of j distinct elements of C, each with a
+    sign; and |X + Y| >= |X| + |Y| - 1 for finite non-empty integer sets.
+    - j = 0: Y = {0}, floor 0.
+    - j = 1: Y = {+-c : c in C}, 2p values, so |X| + 2p - 1.  That is never
+      attained, so the floor is 2p: if B's h largest elements are positive,
+      L_h(B) has a sum above max X + max C, outside X + Y.  Otherwise
+      X = {0} (B = {0}, h = 2; then A's fold also holds max C + min C,
+      outside Y), or X's two largest sums differ by b or 2b for
+      b = min(B - {0}).  |X + Y| = |X| + |Y| - 1 would need X and Y to be
+      progressions of one difference (the equality case of the sumset
+      inequality), 2 * min C for the symmetric Y; but b > max C >= 3 * min C.
+    - j = 2: for c > c' in C, Y holds the four distinct values +-(c + c')
+      and +-(c - c'), so |X| + 3.
+    - j >= 3: Y holds the restricted j-fold sums j^C of C and their
+      negatives, disjoint by sign since C is positive.  |j^C| >= jp - j^2 + 1:
+      from the j smallest elements of C, moving one summand at a time up to
+      the next unused element, the largest summand first, takes j(p - j)
+      steps, and each raises the sum.  So |Y| >= 2(jp - j^2 + 1), and the
+      floor is 2(jp - j^2) + 1, with no strictness step.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -98,42 +100,45 @@ class TestPruneFloors:
         positives = data.draw(st.lists(st.integers(3, 30), min_size=0 if zero else 1,
                                        max_size=4, unique=True), label="B")
         below = min(positives, default=31)
-        p = data.draw(st.integers(2, min(4, below - 1)), label="p")
+        p = data.draw(st.integers(2, min(6, below - 1)), label="p")
         C = data.draw(st.lists(st.integers(1, below - 1), min_size=p, max_size=p,
                                unique=True), label="C")
-        # Fold B top level first, as _scan_shard does: the pinned 0 above
-        # the largest free element, and at level q only layers h - q and up.
-        order = [0] * zero + sorted(positives, reverse=True)
-        k = len(order) + p
-        h = data.draw(st.integers(1, k), label="h")
-        layer = [1 << h * max(order)] + [0] * h
-        for q, a in zip(range(k - 1, p - 1, -1), order):
-            fold_restricted(layer, a, True, q)
-        A = IntegerSet(tuple(sorted(order + C)))
+        B = IntegerSet(tuple(sorted([0] * zero + positives)))
+        h = data.draw(st.integers(1, len(B) + p), label="h")
+        # B's layers straight from the oracle, one call per layer, not from
+        # the walk's own lift.
+        layers = [{0}] + [
+            set(compute_oracle(B, SumsetVariant.RESTRICTED_SIGNED, i).values)
+            if i <= len(B) else set()
+            for i in range(1, h + 1)
+        ]
+        A = IntegerSet(tuple(sorted(B.elements + tuple(C))))
         count = compute_oracle(A, SumsetVariant.RESTRICTED_SIGNED, h).cardinality
-        mid = layer[h - 1]
-        low = layer[h - 2] if h > 1 else 0
-        assert layer[h].bit_count() <= count
-        if mid:
-            assert mid.bit_count() + 2 * p <= count
-        if low:
-            assert low.bit_count() + 3 <= count
+        for j in range(min(p, h) + 1):
+            if layers[h - j]:
+                assert len(layers[h - j]) + search.layer_floor(j, p) <= count, j
 
-    def test_floors_run_before_the_fold(self, monkeypatch):
-        # Levels 3 and up test their floors on the three new top layers
-        # before they copy and fold, and level 2 never folds.  A walk that
-        # folds every element at levels 2 and up makes 28,992 calls here.
-        calls = 0
+    def test_deep_floors_change_no_report(self, monkeypatch):
+        # The floors on layers h - 3 and below cut most of this space's
+        # level >= 3 visits, each before it lifts the next layer.  With them
+        # at 0 the report bytes must not move.
+        space = SearchSpace(10, 8, 25)
+        report = minimize(space, workers=1).to_json()
+        floor = search.layer_floor
+        monkeypatch.setattr(search, "layer_floor", lambda j, p: floor(j, p) if j < 3 else 0)
+        assert minimize(space, workers=1).to_json() == report
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return fold_restricted(*args)
-
-        monkeypatch.setattr(search, "fold_restricted", counting)
-        report = minimize(SearchSpace(8, 5, 24), workers=1)
-        assert report.minimum == SearchSpace(8, 5, 24).bound
-        assert 0 < calls <= 7031
+    @pytest.mark.parametrize("raised", [(1,), (2,), range(3, 9)], ids=["j=1", "j=2", "j>=3"])
+    def test_each_floor_prunes(self, monkeypatch, raised):
+        # Each set of this space reaches level 2 with layers h - 1 and h - 2
+        # non-empty, and its deep lift with layer h - 3 non-empty; a floor
+        # raised above any count must then cut every set, so the walk reads
+        # and prunes on it.
+        floor = search.layer_floor
+        monkeypatch.setattr(search, "layer_floor",
+                            lambda j, p: 10**9 if j in raised else floor(j, p))
+        with pytest.raises(BadParams, match="empty"):
+            minimize(SearchSpace(10, 8, 25), workers=1)
 
 
 class TestPartitionWork:
@@ -323,7 +328,7 @@ class TestMinimize:
                 (3, 2, 8, "zero"),
                 (3, 3, 8, "zero"),
                 (6, 2, 12, "positive"),  # no layer h - 3
-                (9, 7, 13, "positive"),  # floors prune before the fold
+                (9, 7, 13, "positive"),  # deep floors prune before each lift
             )
             for gcd_reduce in (True, False)
         ]
