@@ -20,19 +20,20 @@ A shard counts each set's sumset without building it.  Colex order is the
 order of nested loops with the largest element outermost, so a shard walks
 its subtrees depth first.  The restricted-signed fold does not depend on
 element order, so each element from the largest down to the fourth-smallest
-lifts the exact layers of the tables above it by one, top layer first, into
-its level's table, which the shard allocates once.  It tests each lifted
-layer's floor before it lifts the next, and stops at the first floor above
-the running minimum: its subtree is then skipped, and the layers below are
-never lifted.  The third-smallest element stops at the top three layers,
-plain ints, and the two smallest share one double loop over them: the
-second-smallest reduces them to two ints, and each smallest element then
-costs three shifts, two ors and a bit count.  The zero regime's pinned 0
-sits above the largest free element, so every space, down to one free
-element, takes the same walk.  Tables are offset by h * max, so a right
-shift never drops a set bit.  The gcd filter, an IntegerSet and a
-classification cost something only for a set that ties or undercuts the
-shard's running minimum.
+lifts the exact layers of the tables above it by one into its level's
+table, which the shard allocates once.  It tests each lifted layer's floor
+before it lifts the next, and stops at the first floor above the running
+minimum: its subtree is then skipped, and the layers not yet lifted never
+are.  The strongest floor goes first: layer h - 1, then h, then h - 2, all
+three plain ints, then h - 3 on down.  The third-smallest element stops at
+those three, and the two smallest share one double loop over them: the
+second-smallest reduces them to two ints, layer h - 1 before h, and each
+smallest element then costs three shifts, two ors and a bit count.  The
+zero regime's pinned 0 sits above the largest free element, so every
+space, down to one free element, takes the same walk.  Tables are offset by
+h * max, so a right shift never drops a set bit.  The gcd filter, an
+IntegerSet and a classification cost something only for a set that ties or
+undercuts the shard's running minimum.
 
 The walk is a branch and bound.  Once the elements from the largest down
 to level p are lifted, the tables hold the exact layers L_{h-j}(B),
@@ -47,11 +48,12 @@ excess over |X|:
 - j = 1: L_1^+-(C) = {+-c} has 2p values, so 2p - 1.  For p >= 2 that is
   never attained (the docstring of tests/test_search.py::TestPruneFloors
   has the proof), so the floor is 2p.
-- j = 2: L_2^+-(C) holds the four values +-(c + c') and +-(c - c') for
-  c > c' in C, so 3.
-- j >= 3: L_j^+-(C) holds the restricted j-fold sums j^C and their
-  negatives, disjoint by sign, and |j^C| >= jp - j^2 + 1, so
-  2(jp - j^2) + 1.
+- j >= 2: with S the sum of C's j smallest elements c_1 < ... < c_j, the
+  positive part of L_j^+-(C) holds the restricted j-fold sums j^C, at
+  least j(p - j) + 1 values, each >= S, and the j - 1 values S - 2c_i,
+  i < j, distinct, below S and positive.  L_j^+-(C) is symmetric, so it
+  has at least 2j(p - j + 1) values, and the floor is 2j(p - j + 1) - 1
+  (3 at j = p = 2).
 A subtree whose floor is above the shard's running minimum is skipped
 whole.  The prune is strict, so every tie is still visited, counted and
 classified, and the report does not change.
@@ -136,9 +138,7 @@ def layer_floor(j: int, p: int) -> int:
         return 0
     if j == 1:
         return 2 * p
-    if j == 2:
-        return 3
-    return 2 * (j * p - j * j) + 1
+    return 2 * j * (p - j + 1) - 1
 
 
 def usable_cpus() -> int:
@@ -338,21 +338,23 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
                 p += 1
                 continue
             # Level p's element lifts the layers of the tables above it by
-            # one, top layer first, and each lifted layer's floor is tested
-            # before the next is lifted (see the module docstring).  Ties
-            # are kept, so only a floor above best skips the subtree.  The
-            # top three layers are lifted inline: level 2 needs no more.
+            # one, and each lifted layer's floor is tested before the next
+            # is lifted (see the module docstring).  Ties are kept, so only
+            # a floor above best skips the subtree.  The top three layers
+            # are lifted inline, strongest floor first: h - 1, whose 2p
+            # cuts most subtrees, then h, then h - 2.  Level 2 needs no more.
             above = tables[p + 1]
             floor = floors[p]
-            x, y, z = above[-2], above[-3], above[-4]
-            t = above[-1] | x << a | x >> a
+            x, y = above[-2], above[-3]
             u = x | y << a | y >> a
+            if u and u.bit_count() + floor[1] > best:
+                continue
+            t = above[-1] | x << a | x >> a
+            if t.bit_count() > best:
+                continue
+            z = above[-4]
             v = y | z << a | z >> a
-            if (
-                t.bit_count() > best
-                or u and u.bit_count() + floor[1] > best
-                or v and v.bit_count() + floor[2] > best
-            ):
+            if v and v.bit_count() + floor[2] > best:
                 continue
             vals[p] = a
             opened = range(p, a) if a else range(lo, hi + 1)
@@ -382,11 +384,14 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
         # Levels 1 and 0, fused.  After the second-smallest element a1 the
         # smallest one needs only two ints: the top layer and the one below.
         for a1 in a1s:
-            top = t | u << a1 | u >> a1
-            below = u | v << a1 | v >> a1
-            # Each set of the range counts at least |top| and |below| + 1:
+            # Each set of the range counts at least |below| + 1 and |top|:
             # at p = 1 the j = 1 floor is the sumset inequality's 2p - 1.
-            if top.bit_count() > best or below.bit_count() >= best:
+            # It cuts nearly every a1, so top is lifted only past it.
+            below = u | v << a1 | v >> a1
+            if below.bit_count() >= best:
+                continue
+            top = t | u << a1 | u >> a1
+            if top.bit_count() > best:
                 continue
             for a in range(1, a1) if a1 else range(lo, hi + 1):
                 card = (top | below << a | below >> a).bit_count()

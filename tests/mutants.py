@@ -47,36 +47,40 @@ class Mutant(NamedTuple):
 
 
 SEARCH = "src/sumsetlab/search.py"
+ENGINE = "src/sumsetlab/engine.py"
+WITNESS = "src/sumsetlab/witness.py"
 FLOORS = "tests/test_search.py::TestPruneFloors::test_floors_are_sound_and_strict"
+SLACK = "tests/test_search.py::TestPruneFloors::test_floor_slack_is_pinned"
 DEEP = "tests/test_search.py::TestPruneFloors::test_deep_floors_change_no_report"
 PRUNES = "tests/test_search.py::TestPruneFloors::test_each_floor_prunes"
 BRUTE = "tests/test_search.py::TestMinimize::test_matches_brute_force"
 SHARDS = "tests/test_search.py::TestShardSplit"
 SEEDS = "tests/test_search.py::TestSeedSet"
+CPU_CAP = "tests/test_search.py::TestPoolSizing::test_pool_is_capped_at_the_cpu_count"
+ROUTES = "tests/test_engine.py::TestDualRoutes::test_routes_agree_on_seeded_random_sets"
+WIDE = "tests/test_engine.py::TestDualRoutes::test_routes_agree_on_wide_sets"
+MOVED = "tests/test_witness.py::TestOrderingGuards::test_moved_part_fails"
 
 MUTANTS = (
     # search.layer_floor, one branch at a time: each raises a floor by one
-    # past what is proven.
+    # past what is proven.  Both floors are attained (a pinned slack of 0),
+    # at j = 1 for every p and at j = p = 2.
     Mutant(SEARCH, "        return 2 * p\n", "        return 2 * p + 1\n",
-           (FLOORS, BRUTE), "killed"),
-    Mutant(SEARCH, "        return 3\n", "        return 4\n", (FLOORS, BRUTE), "killed"),
-    # The j >= 3 floors are far from tight: over every B in [0, 9] with at
-    # most three positive elements, 3 <= p <= 6 and every h, the smallest
-    # completion count exceeds |L_{h-j}(B)| + layer_floor(j, p) by 5 or more.
-    # So neither of the next two mutants cuts a tie at testable sizes, but
-    # neither is proven harmless either.
-    Mutant(SEARCH, "    return 2 * (j * p - j * j) + 1\n", "    return 2 * (j * p - j * j) + 2\n",
-           (FLOORS, BRUTE), "survived", "no completion comes within 5 of the floor"),
-    # The deep lift's test prunes on a floor equal to best.
+           (SLACK, FLOORS, BRUTE), "killed"),
+    Mutant(SEARCH, "    return 2 * j * (p - j + 1) - 1\n", "    return 2 * j * (p - j + 1)\n",
+           (SLACK, FLOORS, BRUTE), "killed"),
+    # The deep lift's test prunes on a floor equal to best.  For j >= 3 the
+    # smallest slack the pinned sweep finds is 1, at j = p = 3, so no
+    # completion it covers meets the floor exactly; but that is not a proof.
     Mutant(SEARCH, "if lifted and lifted.bit_count() + floor[i] > best:",
            "if lifted and lifted.bit_count() + floor[i] >= best:", (BRUTE, DEEP, SHARDS),
-           "survived", "no completion comes within 5 of the floor"),
+           "survived", "no tested completion meets a j >= 3 floor exactly"),
     # The inline tests of layers h - 1 and h - 2 go, one at a time: the walk
     # only prunes less, so only the test that raises each floor sees it.
-    Mutant(SEARCH, "                or u and u.bit_count() + floor[1] > best\n", "",
-           (PRUNES,), "killed"),
-    Mutant(SEARCH, "                or v and v.bit_count() + floor[2] > best\n", "",
-           (PRUNES,), "killed"),
+    Mutant(SEARCH, "            if u and u.bit_count() + floor[1] > best:\n                continue\n",
+           "", (PRUNES,), "killed"),
+    Mutant(SEARCH, "            if v and v.bit_count() + floor[2] > best:\n                continue\n",
+           "", (PRUNES,), "killed"),
     # The deep loop ends one layer early, so the level below reads a stale
     # layer h - p.
     Mutant(SEARCH, "range(max(2, min(p, h)) + 1)", "range(max(2, min(p - 1, h)) + 1)",
@@ -84,11 +88,30 @@ MUTANTS = (
     # The fused loop's level-1 floor drops from |below| + 1 to |below|.
     Mutant(SEARCH, "below.bit_count() >= best", "below.bit_count() > best", (BRUTE, SHARDS),
            "equivalent", "a lower floor prunes less but never cuts a tie"),
+    # The fused loop's test on top, run after the one on below, goes.
+    Mutant(SEARCH, "            if top.bit_count() > best:\n                continue\n", "",
+           (BRUTE, SHARDS), "equivalent",
+           "each set counts at least |top|, so the inner loop rejects it itself"),
     # The seed set, where the odd progression does not fit in the space.
     Mutant(SEARCH, "2 * k - 1 <= self.max_element", "2 * k - 1 <= self.max_element + 1",
            (SEEDS,), "killed"),
     # The seed set, where h = k.
     Mutant(SEARCH, "self.h < k and", "self.h <= k and", (SEEDS,), "killed"),
+    # The pool size forgets the usable CPUs.
+    Mutant(SEARCH, "space.total_sets // SETS_PER_WORKER, usable_cpus()",
+           "space.total_sets // SETS_PER_WORKER", (CPU_CAP,), "killed"),
+    # The restricted fold stops one layer short of h - rest, the lowest
+    # layer the elements still to fold can lift to the top.
+    Mutant(ENGINE, "range(h, max(1, h - rest) - 1, -1)", "range(h, max(1, h - rest + 1) - 1, -1)",
+           (ROUTES,), "killed"),
+    # The decoder counts a chunk's offset in bytes, not bits: only a table
+    # wider than one 4096-bit chunk reads wrong values.
+    Mutant(ENGINE, "base = 8 * start - 1 - offset", "base = start - 1 - offset",
+           (WIDE,), "killed"),
+    # The witness chain guard orders the blocks only, not the clusters
+    # between them.
+    Mutant(WITNESS, "for p in (block, *clusters[i : i + 1])]", "for p in (block,)]",
+           (MOVED,), "killed"),
 )
 
 

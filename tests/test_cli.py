@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ from sumsetlab.bounds import BoundReport
 from sumsetlab.errors import BadParams
 from sumsetlab.intset import IntegerSet
 from sumsetlab import search
-from sumsetlab.search import SETS_PER_WORKER, SearchReport
+from sumsetlab.search import SETS_PER_WORKER, SPACE_CAP, SearchReport, SearchSpace
 
 
 def run(capsys, *argv):
@@ -585,6 +586,24 @@ class TestCapProbes:
         rc, seconds, err = self.probe("compute", "--set", powers, "--variant", "subsums")
         assert rc == 2
         assert err.startswith("error: subset sums would take ") and len(err.splitlines()) == 1
+        assert seconds < 0.1
+
+    def test_search_just_over_the_space_cap(self):
+        # C(41, 10) = 1,121,099,408 sets, while max 40 has 847,660,528.
+        assert math.comb(40, 10) <= SPACE_CAP < math.comb(41, 10)
+        rc, seconds, err = self.probe("search", "--k", "10", "--h", "3", "--max", "41")
+        assert rc == 2
+        assert err == "error: space has 1121099408 sets, over the cap 1000000000\n"
+        assert seconds < 0.1
+
+    def test_search_just_over_the_table_cap(self):
+        # One set, k = max = 9460 at h = 3: 9460 * 4 * (6 * 9460 + 1) bits,
+        # while 9459 levels fit.
+        assert SearchSpace(9459, 3, 9459).table_bits <= engine.TABLE_BITS_CAP
+        rc, seconds, err = self.probe("search", "--k", "9460", "--h", "3", "--max", "9460")
+        assert rc == 2
+        assert err.startswith("error: search tables need about 2147836240 bits")
+        assert len(err.splitlines()) == 1
         assert seconds < 0.1
 
 

@@ -12,7 +12,7 @@ import mutants
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: (m.new or m.old).strip()[:40])
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: (m.new or m.old).strip().split("\n")[0][:40])
 def test_mutant_applies(mutant):
     assert mutant.expect in mutants.EXPECTS
     assert mutant.why or mutant.expect != "equivalent"

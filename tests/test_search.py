@@ -59,6 +59,19 @@ def brute_report(space):
     return minimum, len(tied), tuple(tied[:MINIMIZER_CAP]), dict(classes)
 
 
+def signed_layers(elements):
+    """L_0 .. L_n of the n elements as Python sets: L_j holds the sums of j
+    distinct elements, each with a sign."""
+    layers = [{0}]
+    for a in elements:
+        layers.append(set())
+        layers = [layers[0]] + [
+            layers[j] | {s + a for s in layers[j - 1]} | {s - a for s in layers[j - 1]}
+            for j in range(1, len(layers))
+        ]
+    return layers
+
+
 def one_free(max_element):
     """A space whose largest free element is its only one: C(t, 1) = t sets
     have a largest element <= t."""
@@ -83,15 +96,29 @@ class TestPruneFloors:
       b = min(B - {0}).  |X + Y| = |X| + |Y| - 1 would need X and Y to be
       progressions of one difference (the equality case of the sumset
       inequality), 2 * min C for the symmetric Y; but b > max C >= 3 * min C.
-    - j = 2: for c > c' in C, Y holds the four distinct values +-(c + c')
-      and +-(c - c'), so |X| + 3.
-    - j >= 3: Y holds the restricted j-fold sums j^C of C and their
-      negatives, disjoint by sign since C is positive.  |j^C| >= jp - j^2 + 1:
-      from the j smallest elements of C, moving one summand at a time up to
-      the next unused element, the largest summand first, takes j(p - j)
-      steps, and each raises the sum.  So |Y| >= 2(jp - j^2 + 1), and the
-      floor is 2(jp - j^2) + 1, with no strictness step.
+    - j >= 2: let c_1 < ... < c_p be C and S = c_1 + ... + c_j.  The
+      positive part of Y holds the restricted j-fold sums j^C, each >= S,
+      and |j^C| >= j(p - j) + 1: from the j smallest elements, moving one
+      summand at a time up to the next unused element, the largest summand
+      first, takes j(p - j) steps, and each raises the sum.  It also holds
+      the j - 1 values S - 2c_i for i < j: distinct, below S, and positive,
+      since S - 2c_i >= c_j - c_i.  Y = -Y, so |Y| >= 2j(p - j + 1), and the
+      floor is 2j(p - j + 1) - 1, with no strictness step; at j = p = 2 that
+      is 3, the four values +-(c_1 + c_2) and +-(c_2 - c_1).
     """
+
+    # The smallest slack, count - |L_{h-j}(B)| - layer_floor(j, p), that
+    # test_floor_slack_is_pinned finds for each (j, p).  A 0 marks a floor
+    # that some completion attains: one more would be unsound.
+    SLACK = {
+        (0, 2): 2, (0, 3): 6, (0, 4): 8, (0, 5): 10, (0, 6): 12,
+        (1, 2): 0, (1, 3): 0, (1, 4): 0, (1, 5): 0, (1, 6): 0,
+        (2, 2): 0, (2, 3): 2, (2, 4): 2, (2, 5): 2, (2, 6): 2,
+        (3, 3): 1, (3, 4): 7, (3, 5): 7, (3, 6): 7,
+        (4, 4): 3, (4, 5): 13, (4, 6): 13,
+        (5, 5): 6, (5, 6): 21,
+        (6, 6): 10,
+    }
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -117,6 +144,28 @@ class TestPruneFloors:
         for j in range(min(p, h) + 1):
             if layers[h - j]:
                 assert len(layers[h - j]) + search.layer_floor(j, p) <= count, j
+
+    def test_floor_slack_is_pinned(self):
+        # Every suffix B of [0, 10] with at most three positive elements, 0
+        # optional; every C of 2 <= p <= 6 elements below min B+ (below 11
+        # when B = {0}); every h and every non-empty layer j <= min(p, h).
+        slack = {}
+        for n in range(4):
+            for positives in itertools.combinations(range(1, 11), n):
+                for B in {(0, *positives), positives} - {()}:
+                    below = positives[0] if positives else 11
+                    layers_B = signed_layers(B)
+                    for p in range(2, min(6, below - 1) + 1):
+                        for C in itertools.combinations(range(1, below), p):
+                            layers_A = signed_layers(C + B)
+                            for h in range(1, len(B) + p + 1):
+                                for j in range(min(p, h) + 1):
+                                    if h - j <= len(B) and layers_B[h - j]:
+                                        gap = (len(layers_A[h]) - len(layers_B[h - j])
+                                               - search.layer_floor(j, p))
+                                        assert gap >= 0, (B, C, h, j)
+                                        slack[j, p] = min(gap, slack.get((j, p), gap))
+        assert slack == self.SLACK
 
     def test_deep_floors_change_no_report(self, monkeypatch):
         # The floors on layers h - 3 and below cut most of this space's
