@@ -121,38 +121,37 @@ MIXED_CASE2_TEXT = "k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in 
 MIXED_CASE3_TEXT = "k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st"
 
 
-def _base_case(A: IntegerSet, h: int, h0: int) -> bool:
-    """A positive, k = h+1, h >= h0: the direct bound's base case, which
-    RSS_base states at h0 = 3 and the mixed-parity entries refine."""
-    return len(A) == h + 1 and h >= h0 and A.min >= 1
+def _base_case(A: IntegerSet, h: int) -> bool:
+    """A positive, k = h+1, h >= 3: the direct bound's base case, which
+    RSS_base states and the mixed-parity entries split."""
+    return len(A) == h + 1 and h >= 3 and A.min >= 1
 
 
-def mixed_case2_base(A: IntegerSet, h: int) -> bool:
-    """MIXED_CASE2_TEXT: the union of the two MixedParity_case2 entries."""
+def mixed_parity_case(A: IntegerSet, h: int) -> Optional[str]:
+    """The one MixedParity entry whose hypotheses (A, h) meets, as its id
+    after "MixedParity_case" ("1", "2a", ..., "3_ap_even"), or None.
+
+    Case 1: a2 shares a1's parity and a later element does not.  Case 2
+    (MIXED_CASE2_TEXT): a2 and a3 both differ, split by a3 = 2*a1 + a2.
+    Case 3 (MIXED_CASE3_TEXT): a2 differs and a3 does not, h >= 4, split by
+    whether A minus a2 is an AP, by a2's parity, and by h = 4.
+    """
+    if not _base_case(A, h):
+        return None
     e = A.elements
-    return (
-        _base_case(A, h, 3)
-        and (e[1] - e[0]) % 2 == 1
-        and (e[2] - e[0]) % 2 == 1
-    )
-
-
-def mixed_case3_base(A: IntegerSet, h: int) -> bool:
-    """MIXED_CASE3_TEXT: the union of the four MixedParity_case3 entries."""
-    e = A.elements
-    return (
-        _base_case(A, h, 4)
-        and (e[1] - e[0]) % 2 == 1
-        and (e[2] - e[0]) % 2 == 0
-    )
-
-
-def _without_second(A: IntegerSet) -> tuple[int, ...]:
-    return A.elements[:1] + A.elements[2:]
-
-
-def _is_ap(elements: tuple[int, ...]) -> bool:
-    return ArithmeticProgression.match(elements) is not None
+    # differs[i]: element #i+1 differs in parity from the 1st.
+    differs = [(a - e[0]) % 2 for a in e]
+    if not differs[1]:
+        return "1" if any(differs[2:]) else None
+    if differs[2]:
+        return "2a" if e[2] == 2 * e[0] + e[1] else "2b"
+    if h < 4:
+        return None
+    if ArithmeticProgression.match(e[:1] + e[2:]) is None:
+        return "3_notAP"
+    if e[1] % 2:
+        return "3_ap_odd"
+    return "3_ap_even_h4" if h == 4 else "3_ap_even"
 
 
 def _from_zero(elements: tuple[int, ...]) -> bool:
@@ -178,7 +177,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="RSS_base",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 2 * h + 1,
-        hypotheses=lambda A, h: _base_case(A, h, 3),
+        hypotheses=_base_case,
         formula_text="h^2 + 2*h + 1",
         hypotheses_text="A positive, k = h+1, h >= 3",
         source="base case of the direct bound, one element more than the fold count",
@@ -281,9 +280,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case1",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 3 * h + 2,
-        hypotheses=lambda A, h: _base_case(A, h, 3)
-        and (A.elements[1] - A.elements[0]) % 2 == 0
-        and any((a - A.elements[0]) % 2 == 1 for a in A.elements[2:]),
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "1",
         formula_text="h^2 + 3*h + 2",
         hypotheses_text="k = h+1, h >= 3, A positive, first two elements share parity, some later element differs",
         status="proved",
@@ -293,8 +290,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case2a",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 3 * h,
-        hypotheses=lambda A, h: mixed_case2_base(A, h)
-        and A.elements[2] == 2 * A.elements[0] + A.elements[1],
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "2a",
         formula_text="h^2 + 3*h",
         hypotheses_text=MIXED_CASE2_TEXT + ", a3 = 2*a1 + a2",
         status="proved",
@@ -304,8 +300,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case2b",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 4 * h - 1,
-        hypotheses=lambda A, h: mixed_case2_base(A, h)
-        and A.elements[2] != 2 * A.elements[0] + A.elements[1],
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "2b",
         formula_text="h^2 + 4*h - 1",
         hypotheses_text=MIXED_CASE2_TEXT + ", a3 != 2*a1 + a2",
         status="proved",
@@ -315,8 +310,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_notAP",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * h + 2 * h + 2,
-        hypotheses=lambda A, h: mixed_case3_base(A, h)
-        and not _is_ap(_without_second(A)),
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "3_notAP",
         formula_text="h^2 + 2*h + 2",
         hypotheses_text=MIXED_CASE3_TEXT + ", A minus its 2nd element is not an AP",
         status="proved",
@@ -326,9 +320,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_ap_odd",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: h * (3 * h - 1) // 2 + 4,
-        hypotheses=lambda A, h: mixed_case3_base(A, h)
-        and _is_ap(_without_second(A))
-        and A.elements[1] % 2 == 1,
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "3_ap_odd",
         formula_text="h*(3*h - 1)/2 + 4",
         hypotheses_text=MIXED_CASE3_TEXT + ", A minus its 2nd element is an AP, 2nd element odd",
         status="proved",
@@ -338,10 +330,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_ap_even_h4",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 26,
-        hypotheses=lambda A, h: mixed_case3_base(A, h)
-        and h == 4
-        and _is_ap(_without_second(A))
-        and A.elements[1] % 2 == 0,
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "3_ap_even_h4",
         formula_text="26",
         hypotheses_text="k = 5, h = 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element even",
         status="proved",
@@ -351,10 +340,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         id="MixedParity_case3_ap_even",
         variant=SumsetVariant.RESTRICTED_SIGNED,
         formula=lambda k, h: 2 * h * (h - 1),
-        hypotheses=lambda A, h: mixed_case3_base(A, h)
-        and h >= 5
-        and _is_ap(_without_second(A))
-        and A.elements[1] % 2 == 0,
+        hypotheses=lambda A, h: mixed_parity_case(A, h) == "3_ap_even",
         formula_text="2*h*(h - 1)",
         hypotheses_text="k = h+1, h >= 5, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element even",
         status="proved",

@@ -38,8 +38,7 @@ from .bounds import (
     MIXED_CASE2_TEXT,
     MIXED_CASE3_TEXT,
     catalogue_entry,
-    mixed_case2_base,
-    mixed_case3_base,
+    mixed_parity_case,
 )
 from .engine import SumsetVariant, compute_dp
 from .errors import BadParams
@@ -242,7 +241,7 @@ def witness_odd_subsums(A: IntegerSet) -> WitnessFamily:
         fold=h,
         target_kind=TARGET_SUBSUMS,
         parts=tuple(parts),
-        claimed_total=h * h - 1,
+        claimed_total=odd.formula(h, h),
     )
 
 
@@ -256,12 +255,13 @@ def witness_mixed_parity_a3(A: IntegerSet, h: int) -> WitnessFamily:
     two of them coincide, which decides the claimed total.  The family is
     disjoint from the full fold omitting the 1st element.
     """
-    _require(LEMMA_MIXED_PARITY_A3, mixed_case2_base(A, h), MIXED_CASE2_TEXT, f"A={A}, h={h}")
+    case = mixed_parity_case(A, h)
+    _require(LEMMA_MIXED_PARITY_A3, case in ("2a", "2b"), MIXED_CASE2_TEXT, f"A={A}, h={h}")
     e = A.elements
 
     u = -(e[0] + sum(e[2:]))
     v = -(e[0] + e[1] + sum(e[3:]))
-    if e[2] == 2 * e[0] + e[1]:
+    if case == "2a":
         branch, extra = "third-tied", 2 * h - 1
     else:
         branch, extra = "third-free", 3 * h - 2
@@ -282,7 +282,9 @@ def witness_mixed_parity_a2(A: IntegerSet, h: int) -> WitnessFamily:
     element, with 2-point clusters.  Exhibits h(h+1)/2 + h elements disjoint
     from the full fold omitting the 2nd element.
     """
-    _require(LEMMA_MIXED_PARITY_A2, mixed_case3_base(A, h), MIXED_CASE3_TEXT, f"A={A}, h={h}")
+    case = mixed_parity_case(A, h)
+    _require(LEMMA_MIXED_PARITY_A2, case is not None and case[0] == "3", MIXED_CASE3_TEXT,
+             f"A={A}, h={h}")
     e = A.elements
 
     u = -sum(e[1:])

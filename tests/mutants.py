@@ -19,8 +19,9 @@ committed code only, so commit first:
 
 tests/test_mutants.py checks, in the tier-1 suite, that this list parses
 and that each old text still occurs exactly once, so a refactor that moves
-mutated code fails there instead of silently retiring a mutant.  A change to the walk, the fold, the decoder or a guard adds its
-own mutants here.
+mutated code fails there instead of silently retiring a mutant.  A change
+to the walk, the fold, the decoder, a guard or a hypothesis predicate adds
+its own mutants here.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class Mutant(NamedTuple):
 SEARCH = "src/sumsetlab/search.py"
 ENGINE = "src/sumsetlab/engine.py"
 WITNESS = "src/sumsetlab/witness.py"
+BOUNDS = "src/sumsetlab/bounds.py"
 FLOORS = "tests/test_search.py::TestPruneFloors::test_floors_are_sound_and_strict"
 SLACK = "tests/test_search.py::TestPruneFloors::test_floor_slack_is_pinned"
 DEEP = "tests/test_search.py::TestPruneFloors::test_deep_floors_change_no_report"
@@ -60,6 +62,11 @@ CPU_CAP = "tests/test_search.py::TestPoolSizing::test_pool_is_capped_at_the_cpu_
 ROUTES = "tests/test_engine.py::TestDualRoutes::test_routes_agree_on_seeded_random_sets"
 WIDE = "tests/test_engine.py::TestDualRoutes::test_routes_agree_on_wide_sets"
 MOVED = "tests/test_witness.py::TestOrderingGuards::test_moved_part_fails"
+SPLIT = "tests/test_bounds.py::TestApplicability::test_mixed_parity_split_is_exhaustive_and_exclusive"
+CASE2 = "tests/test_bounds.py::TestApplicability::test_mixed_parity_partition"
+CASE3 = "tests/test_bounds.py::TestApplicability::test_mixed_parity_case3_partition"
+CASE1 = "tests/test_bounds.py::TestApplicability::test_case1_needs_shared_parity_prefix"
+FOUR_FOLDS = "tests/test_witness.py::TestMixedParityA2::test_needs_four_folds"
 
 MUTANTS = (
     # search.layer_floor, one branch at a time: each raises a floor by one
@@ -112,6 +119,14 @@ MUTANTS = (
     # between them.
     Mutant(WITNESS, "for p in (block, *clusters[i : i + 1])]", "for p in (block,)]",
            (MOVED,), "killed"),
+    # bounds.mixed_parity_case, the one split behind the seven MixedParity
+    # entries and both mixed-parity witnesses.
+    Mutant(BOUNDS, "2 * e[0] + e[1]", "e[0] + e[1]", (CASE2,), "killed"),
+    Mutant(BOUNDS, "if h < 4:", "if h < 3:", (FOUR_FOLDS, SPLIT), "killed"),
+    Mutant(BOUNDS, 'return "1" if any(differs[2:]) else None', 'return "1"', (CASE1, SPLIT),
+           "killed"),
+    Mutant(BOUNDS, 'if h == 4 else "3_ap_even"', 'if h <= 5 else "3_ap_even"', (CASE3,), "killed"),
+    Mutant(BOUNDS, "if e[1] % 2:", "if not e[1] % 2:", (CASE3,), "killed"),
 )
 
 

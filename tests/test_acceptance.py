@@ -186,7 +186,7 @@ def test_criterion_7_bound_catalogue_soundness(report):
     sets = reports = 0
     violations = []
     for k in range(1, 7):
-        for combo in itertools.combinations(range(1, 14), k):
+        for combo in itertools.combinations(range(0, 14), k):
             sets += 1
             A = IntegerSet(combo)
             for h in range(1, k + 1):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import operator
 from fractions import Fraction
@@ -153,6 +154,25 @@ class TestApplicability:
             for other_id in cases:
                 if other_id != eid:
                     assert not entry(other_id).hypotheses(A, h), (eid, other_id)
+
+    def test_mixed_parity_split_is_exhaustive_and_exclusive(self):
+        # Exactly one MixedParity entry applies to a positive A with
+        # |A| = h+1, h >= 3 and an element of the other parity from a1's,
+        # except when a2 differs, a3 does not and h = 3 (case 3 needs h >= 4);
+        # to every other (A, h), none does.
+        mixed = [e for e in bound_catalogue() if e.id.startswith("MixedParity_")]
+        assert len(mixed) == 7
+        pairs = 0
+        for k in range(1, 9):
+            for combo in itertools.combinations(range(15), k):
+                A = IntegerSet(combo)
+                differs = [(a - combo[0]) % 2 for a in combo]
+                for h in range(1, k + 1):
+                    pairs += 1
+                    covered = (combo[0] >= 1 and k == h + 1 and h >= 3 and any(differs)
+                               and not (h == 3 and differs[1] and not differs[2]))
+                    assert sum(e.hypotheses(A, h) for e in mixed) == covered, (combo, h)
+        assert pairs == 148_620
 
     def test_case1_needs_shared_parity_prefix(self):
         e = entry("MixedParity_case1")

@@ -556,21 +556,31 @@ class TestCapProbes:
 
     SRC = TestImportFootprint.SRC
 
-    def probe(self, *argv):
+    def child(self, imports, call):
+        """(call's result, or the name of the SumsetLabError it raised;
+        its seconds; the child's stderr) from the capped child."""
         code = (
             "import resource, sys, time\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             f"sys.path.insert(0, {self.SRC!r})\n"
-            "from sumsetlab import cli\n"
+            "from sumsetlab.errors import SumsetLabError\n"
+            f"{imports}\n"
             "t0 = time.perf_counter()\n"
-            f"rc = cli.main({list(argv)!r})\n"
-            "print(rc, time.perf_counter() - t0)\n"
+            "try:\n"
+            f"    out = {call}\n"
+            "except SumsetLabError as exc:\n"
+            "    out = type(exc).__name__\n"
+            "print(out, time.perf_counter() - t0)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=60, check=False)
         assert done.stdout, done.stderr
-        rc, seconds = done.stdout.split()
-        return int(rc), float(seconds), done.stderr
+        out, seconds = done.stdout.split()
+        return out, float(seconds), done.stderr
+
+    def probe(self, *argv):
+        rc, seconds, err = self.child("from sumsetlab import cli", f"cli.main({list(argv)!r})")
+        return int(rc), seconds, err
 
     def test_dense_plain_fold_over_the_table_budget(self):
         # (h+1) * (2h * 2^40 + 1) bits at h = 64: a 2^46-bit table.
@@ -604,6 +614,18 @@ class TestCapProbes:
         assert rc == 2
         assert err.startswith("error: search tables need about 2147836240 bits")
         assert len(err.splitlines()) == 1
+        assert seconds < 0.1
+
+    def test_oracle_just_over_its_vector_cap(self):
+        # C(34, 10) = 131,128,140 restricted vectors, while C(33, 10) =
+        # 92,561,040 fit (and would take minutes to enumerate).
+        assert math.comb(33, 10) <= engine.ORACLE_COST_CAP < math.comb(34, 10)
+        out, seconds, err = self.child(
+            "from sumsetlab.engine import SumsetVariant, compute_oracle\n"
+            "from sumsetlab.intset import IntegerSet",
+            "compute_oracle(IntegerSet(tuple(range(1, 35))), SumsetVariant.RESTRICTED, 10)",
+        )
+        assert out == "CostCapExceeded" and not err
         assert seconds < 0.1
 
 
