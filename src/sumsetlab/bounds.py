@@ -118,7 +118,7 @@ ALL_LEMMAS = (
 )
 
 MIXED_CASE2_TEXT = "k = h+1, h >= 3, A positive, 2nd and 3rd elements differ in parity from the 1st"
-MIXED_CASE3_TEXT = "k = h+1, h >= 4, A positive, only the 2nd element differs in parity from the 1st"
+MIXED_CASE3_TEXT = "k = h+1, h >= 4, A positive, 2nd element differs in parity from the 1st, 3rd does not"
 
 
 def _base_case(A: IntegerSet, h: int) -> bool:
@@ -332,7 +332,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         formula=lambda k, h: 26,
         hypotheses=lambda A, h: mixed_parity_case(A, h) == "3_ap_even_h4",
         formula_text="26",
-        hypotheses_text="k = 5, h = 4, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element even",
+        hypotheses_text="k = 5, h = 4, A positive, 2nd element differs in parity from the 1st, 3rd does not, A minus its 2nd element is an AP, 2nd element even",
         status="proved",
         source="even second element over an odd progression remainder, four folds",
     ),
@@ -342,7 +342,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         formula=lambda k, h: 2 * h * (h - 1),
         hypotheses=lambda A, h: mixed_parity_case(A, h) == "3_ap_even",
         formula_text="2*h*(h - 1)",
-        hypotheses_text="k = h+1, h >= 5, A positive, only the 2nd element differs in parity from the 1st, A minus its 2nd element is an AP, 2nd element even",
+        hypotheses_text="k = h+1, h >= 5, A positive, 2nd element differs in parity from the 1st, 3rd does not, A minus its 2nd element is an AP, 2nd element even",
         status="proved",
         source="even second element over an odd progression remainder, five or more folds",
     ),
@@ -354,12 +354,15 @@ def bound_catalogue() -> list[BoundCatalogEntry]:
     return list(_ENTRIES)
 
 
+_BY_ID = {entry.id: entry for entry in _ENTRIES}
+
+
 def catalogue_entry(entry_id: str) -> BoundCatalogEntry:
     """The catalogue entry with this id."""
-    for entry in _ENTRIES:
-        if entry.id == entry_id:
-            return entry
-    raise BadParams(f"no catalogue entry {entry_id!r}")
+    entry = _BY_ID.get(entry_id)
+    if entry is None:
+        raise BadParams(f"no catalogue entry {entry_id!r}")
+    return entry
 
 
 def catalogue_to_json() -> str:

@@ -10,11 +10,12 @@ falsified only when the bound's hypotheses hold and either the minimum
 undercuts the bound or some minimizer fails the bound's equality
 prediction.
 
-Work is split into contiguous ranges of the set's largest free element, so
-any shard count (and any worker count) produces a byte-identical report:
-each shard returns its minimum, the exact count of minimum-achieving sets,
-the first 64 of them in colex order, and a structure-class tally; shards
-merge in order of their ranges, which is colex order.
+A search that starts no pool walks the whole space once.  Only a pool
+splits it, into contiguous ranges of the set's largest free element, so any
+shard count (and any worker count) produces a byte-identical report: each
+shard returns its minimum, the exact count of minimum-achieving sets, the
+first 64 of them in colex order, and a structure-class tally; shards merge
+in order of their ranges, which is colex order.
 
 A shard counts each set's sumset without building it.  Colex order is the
 order of nested loops with the largest element outermost, so a shard walks
@@ -242,24 +243,8 @@ class SearchSpace(Value):
         return self.first_set
 
     @property
-    def hypotheses_hold(self) -> bool:
-        # Both entries' hypotheses read only |A| and the sign of min A, so
-        # the first colex member stands for the whole space.
-        return self.entry.hypotheses(self.first_set, self.h)
-
-    @property
-    def bound(self) -> int:
-        return self.entry.formula(self.k, self.h)
-
-    @property
     def bound_status(self) -> str:
         return "theorem" if self.entry.status == "proved" else self.entry.status
-
-    @property
-    def regime_label(self) -> str:
-        if self.hypotheses_hold:
-            return self.regime
-        return f"{self.regime}/{OUTSIDE_HYPOTHESES}"
 
 
 def _shard_ranges(space: SearchSpace, shards: int) -> list[tuple[int, int]]:
@@ -475,8 +460,10 @@ def minimize(
     The report is a pure function of the space: shard and worker counts
     change only how the scan is split, never its outcome.  `workers` is an
     upper bound: a pool gets at most one worker per shard, per
-    SETS_PER_WORKER sets and per usable CPU (usable_cpus()), and a space
-    too small for two is scanned in-process, where it finishes sooner.
+    SETS_PER_WORKER sets and per usable CPU (usable_cpus()).  Only a pool
+    splits the space into shards; a space too small for two workers, or a
+    call with one worker or one shard, is walked once in-process, where it
+    finishes sooner.
 
     A script that runs a pooled minimize must call it under
     `if __name__ == "__main__":`.  Under the spawn and forkserver start
@@ -487,13 +474,16 @@ def minimize(
     """
     if workers is not None and workers < 1:
         raise BadParams(f"need at least 1 worker, got {workers}")
-    ranges = _shard_ranges(space, shards)
-    # The fork start method starts every worker at the first submit, so the
-    # pool never asks for more processes than the CPUs it may run on.
-    pool_size = min(
-        workers or 1, len(ranges), space.total_sets // SETS_PER_WORKER, usable_cpus()
-    )
-    args = ([space] * len(ranges), *zip(*ranges))
+    if shards < 1:
+        raise BadParams(f"need at least 1 shard, got {shards}")
+    # The space is split and the CPUs probed only once the workers, the
+    # shards and the set count all leave room for two workers.
+    pool_size = min(workers or 1, shards, space.total_sets // SETS_PER_WORKER)
+    if pool_size > 1:
+        ranges = _shard_ranges(space, shards)
+        # The fork start method starts every worker at the first submit, so
+        # the pool never asks for more processes than the CPUs it may run on.
+        pool_size = min(pool_size, len(ranges), usable_cpus())
     if pool_size > 1:
         # Imported here, so a serial scan never loads the pool.
         from concurrent.futures import ProcessPoolExecutor
@@ -501,11 +491,11 @@ def minimize(
 
         try:
             with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                results = list(pool.map(_scan_shard, *args))
+                results = list(pool.map(_scan_shard, [space] * len(ranges), *zip(*ranges)))
         except BrokenProcessPool as ex:
             raise PoolFailed(f"search pool of {pool_size} workers broke: {ex}") from ex
     else:
-        results = list(map(_scan_shard, *args))
+        results = [_scan_shard(space, space.choose_k, space.max_element)]
 
     candidates = [r.minimum for r in results if r.minimum is not None]
     if not candidates:
@@ -526,16 +516,21 @@ def minimize(
         for name, cnt in r.classes.items():
             classes[name] = classes.get(name, 0) + cnt
 
-    falsified = space.hypotheses_hold and (
-        minimum < space.bound or (minimum == space.bound and unpredicted > 0)
+    entry = space.entry
+    # Both regimes' entries read only |A| and the sign of min A, so the
+    # first colex member stands for the whole space.
+    hypotheses_hold = entry.hypotheses(space.first_set, space.h)
+    bound = entry.formula(space.k, space.h)
+    falsified = hypotheses_hold and (
+        minimum < bound or (minimum == bound and unpredicted > 0)
     )
     return SearchReport(
         k=space.k,
         h=space.h,
         max_element=space.max_element,
-        regime=space.regime_label,
+        regime=space.regime if hypotheses_hold else f"{space.regime}/{OUTSIDE_HYPOTHESES}",
         minimum=minimum,
-        bound=space.bound,
+        bound=bound,
         minimizer_count=minimizer_count,
         minimizers=tuple(minimizers),
         classes=classes,

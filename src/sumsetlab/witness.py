@@ -274,8 +274,8 @@ def witness_mixed_parity_a3(A: IntegerSet, h: int) -> WitnessFamily:
 
 
 def witness_mixed_parity_a2(A: IntegerSet, h: int) -> WitnessFamily:
-    """Family for: k = h+1 positive, only the 2nd element differs in parity
-    from the 1st (3rd matches the 1st).
+    """Family for: k = h+1 positive, h >= 4, the 2nd element differs in
+    parity from the 1st and the 3rd does not; later elements may differ.
 
     The block/cluster layout of parity-split and the 3rd-element case
     (_block_family), its blocks starting from the full fold omitting the 1st

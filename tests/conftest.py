@@ -1,4 +1,4 @@
-"""Shared random-instance generators for lemma hypotheses, and a stand-in
+"""Shared random-instance generators for lemma hypotheses, and stand-ins
 for the search's process pool.
 
 Each generator draws a set satisfying one witness lemma's preconditions,
@@ -38,6 +38,19 @@ def in_process_pool(monkeypatch):
     # The search imports the pool class when it starts a pool.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     return pools
+
+
+@pytest.fixture
+def pooled_splits(in_process_pool, monkeypatch):
+    """Make every search whose workers and shards both exceed 1 split the
+    space and run its shards through the pool, in-process: one set is a
+    worker's worth and 64 CPUs are usable.  A search with one worker or one
+    shard still walks the space once.  Returns the pool sizes asked for."""
+    from sumsetlab import search
+
+    monkeypatch.setattr(search, "SETS_PER_WORKER", 1)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 64)
+    return in_process_pool
 
 
 @pytest.fixture

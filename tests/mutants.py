@@ -59,6 +59,7 @@ BRUTE = "tests/test_search.py::TestMinimize::test_matches_brute_force"
 SHARDS = "tests/test_search.py::TestShardSplit"
 SEEDS = "tests/test_search.py::TestSeedSet"
 CPU_CAP = "tests/test_search.py::TestPoolSizing::test_pool_is_capped_at_the_cpu_count"
+SMALL = "tests/test_search.py::TestPoolSizing::test_small_space_never_starts_a_pool"
 ROUTES = "tests/test_engine.py::TestDualRoutes::test_routes_agree_on_seeded_random_sets"
 WIDE = "tests/test_engine.py::TestDualRoutes::test_routes_agree_on_wide_sets"
 MOVED = "tests/test_witness.py::TestOrderingGuards::test_moved_part_fails"
@@ -105,8 +106,15 @@ MUTANTS = (
     # The seed set, where h = k.
     Mutant(SEARCH, "self.h < k and", "self.h <= k and", (SEEDS,), "killed"),
     # The pool size forgets the usable CPUs.
-    Mutant(SEARCH, "space.total_sets // SETS_PER_WORKER, usable_cpus()",
-           "space.total_sets // SETS_PER_WORKER", (CPU_CAP,), "killed"),
+    Mutant(SEARCH, "len(ranges), usable_cpus())", "len(ranges))", (CPU_CAP,), "killed"),
+    # The pool gate lets a one-worker search split the space and probe the
+    # CPUs, though no pool starts.
+    Mutant(SEARCH, "if pool_size > 1:\n        ranges", "if pool_size > 0:\n        ranges",
+           (SMALL,), "killed"),
+    # A search with no pool walks the space once, but stops one value of the
+    # largest free element short.
+    Mutant(SEARCH, "space.choose_k, space.max_element)]", "space.choose_k, space.max_element - 1)]",
+           (BRUTE,), "killed"),
     # The restricted fold stops one layer short of h - rest, the lowest
     # layer the elements still to fold can lift to the top.
     Mutant(ENGINE, "range(h, max(1, h - rest) - 1, -1)", "range(h, max(1, h - rest + 1) - 1, -1)",

@@ -180,11 +180,48 @@ def test_criterion_6_witness_suites(report):
     assert elapsed < 300.0
 
 
+# Criterion 7's sweep, every subset of [0, 13] with 1 <= k <= 6 and every
+# h <= k: for each proved entry and (k, h) its hypotheses admit, the smallest
+# count observed and the entry's bound, as (minimum, bound).  A formula edited
+# either way moves a bound; a fold or a predicate edited moves a minimum.
+# Where the two differ the sweep never attains the bound, which is all a
+# lemma-level lower bound claims.
+CATALOGUE_MINIMA = {
+    "RSS_direct": {(4, 3): (16, 16), (5, 3): (22, 22), (5, 4): (25, 25), (6, 3): (28, 28),
+        (6, 4): (33, 33), (6, 5): (36, 36)},
+    "RSS_base": {(4, 3): (16, 16), (5, 4): (25, 25), (6, 5): (36, 36)},
+    "RSS_weak_pos": {(1, 1): (2, 2), (2, 1): (4, 4), (2, 2): (4, 4), (3, 1): (6, 6),
+        (3, 2): (8, 8), (3, 3): (7, 7), (4, 1): (8, 8), (4, 2): (12, 12), (4, 3): (16, 13),
+        (4, 4): (11, 11), (5, 1): (10, 10), (5, 2): (16, 16), (5, 3): (22, 19),
+        (5, 4): (25, 19), (5, 5): (16, 16), (6, 1): (12, 12), (6, 2): (20, 20),
+        (6, 3): (28, 25), (6, 4): (33, 27), (6, 5): (36, 26), (6, 6): (22, 22)},
+    "RSS_weak_zero": {(1, 1): (1, 1), (2, 1): (3, 3), (2, 2): (2, 2), (3, 1): (5, 5),
+        (3, 2): (6, 6), (3, 3): (4, 4), (4, 1): (7, 7), (4, 2): (10, 10), (4, 3): (12, 10),
+        (4, 4): (7, 7), (5, 1): (9, 9), (5, 2): (14, 14), (5, 3): (19, 16),
+        (5, 4): (21, 15), (5, 5): (11, 11), (6, 1): (11, 11), (6, 2): (18, 18),
+        (6, 3): (25, 22), (6, 4): (29, 23), (6, 5): (31, 21), (6, 6): (16, 16)},
+    "R_plain": {(1, 1): (1, 1), (2, 1): (2, 2), (2, 2): (1, 1), (3, 1): (3, 3),
+        (3, 2): (3, 3), (3, 3): (1, 1), (4, 1): (4, 4), (4, 2): (5, 5), (4, 3): (4, 4),
+        (4, 4): (1, 1), (5, 1): (5, 5), (5, 2): (7, 7), (5, 3): (7, 7), (5, 4): (5, 5),
+        (5, 5): (1, 1), (6, 1): (6, 6), (6, 2): (9, 9), (6, 3): (10, 10), (6, 4): (9, 9),
+        (6, 5): (6, 6), (6, 6): (1, 1)},
+    "Odd_k_eq_h": {(3, 3): (8, 8), (4, 4): (15, 15), (5, 5): (24, 24), (6, 6): (35, 35)},
+    "MixedParity_case1": {(4, 3): (21, 20), (5, 4): (35, 30), (6, 5): (49, 42)},
+    "MixedParity_case2a": {(4, 3): (19, 18), (5, 4): (31, 28), (6, 5): (46, 40)},
+    "MixedParity_case2b": {(4, 3): (23, 20), (5, 4): (38, 31), (6, 5): (56, 44)},
+    "MixedParity_case3_notAP": {(5, 4): (29, 26), (6, 5): (41, 37)},
+    "MixedParity_case3_ap_odd": {(5, 4): (33, 26), (6, 5): (48, 39)},
+    "MixedParity_case3_ap_even_h4": {(5, 4): (33, 26)},
+    "MixedParity_case3_ap_even": {(6, 5): (51, 40)},
+}
+
+
 def test_criterion_7_bound_catalogue_soundness(report):
     t0 = time.perf_counter()
     status = {entry.id: entry.status for entry in bound_catalogue()}
     sets = reports = 0
     violations = []
+    minima: dict = {}
     for k in range(1, 7):
         for combo in itertools.combinations(range(0, 14), k):
             sets += 1
@@ -196,25 +233,44 @@ def test_criterion_7_bound_catalogue_soundness(report):
                     A, h, plus, SumsetVariant.RESTRICTED
                 ):
                     reports += 1
-                    if not rep.met and status[rep.id] == "proved":
+                    if status[rep.id] != "proved":
+                        continue
+                    if not rep.met:
                         violations.append((combo, h, rep.to_dict()))
+                    cell = (rep.id, k, h)
+                    seen = minima.get(cell, (rep.observed,))[0]
+                    minima[cell] = (min(seen, rep.observed), rep.bound)
+    pinned = {
+        (entry_id, k, h): pair
+        for entry_id, cells in CATALOGUE_MINIMA.items()
+        for (k, h), pair in cells.items()
+    }
+    moved = sorted(
+        (cell, minima.get(cell), pinned.get(cell))
+        for cell in minima.keys() | pinned.keys()
+        if minima.get(cell) != pinned.get(cell)
+    )
     elapsed = time.perf_counter() - t0
-    ok = not violations and elapsed < 600.0
-    report(7, ok, f"{sets} sets, {reports} bound checks, {len(violations)} violations, {elapsed:.1f}s")
+    ok = not violations and not moved and elapsed < 600.0
+    report(7, ok, f"{sets} sets, {reports} bound checks, {len(violations)} violations, "
+                  f"{len(minima)} minima, {len(moved)} moved from the table, {elapsed:.1f}s")
     assert not violations, violations[:5]
+    assert not moved, moved[:5]
     assert elapsed < 600.0
 
 
-def test_criterion_8_shard_determinism(report):
+def test_criterion_8_shard_determinism(report, pooled_splits):
     t0 = time.perf_counter()
-    # Large enough that pruning fires across shard boundaries.
+    # Large enough that pruning fires across shard boundaries.  Only a pool
+    # splits the space; pooled_splits runs each split's shards in-process.
     space = SearchSpace(9, 7, 28)
-    texts = {s: minimize(space, shards=s).to_json() for s in (1, 2, 7, 16)}
+    texts = {s: minimize(space, shards=s, workers=s).to_json() for s in (1, 2, 7, 16)}
     distinct = len(set(texts.values()))
     elapsed = time.perf_counter() - t0
     ok = distinct == 1
     report(8, ok, f"shards 1/2/7/16 over {space.total_sets} sets, {distinct} distinct reports, {elapsed:.1f}s")
     assert distinct == 1
+    assert pooled_splits == [2, 6, 7]  # the ranges 2, 7 and 16 shards split into
 
 
 def test_criterion_9_identity_properties(report):

@@ -116,6 +116,21 @@ class TestVerify:
         assert "verdict=StrictInequality" in out
         assert "result=ok" in out
 
+    def test_case3_text_names_what_its_predicate_reads(self, capsys):
+        # {1,2,3,4,5}: the 2nd element differs in parity from the 1st and the
+        # 3rd does not, so case 3 applies though the 4th differs as well; the
+        # entry's text must claim no more than that.
+        code, out, _ = run(capsys, "verify", "--set", "1,2,3,4,5", "--h", "4")
+        assert code == 0
+        assert ("bound id=MixedParity_case3_notAP status=proved bound=26 observed=29 "
+                "slack=3 met=true") in lines_of(out)
+        code, out, _ = run(capsys, "bounds", "--format", "json")
+        (entry,) = [e for e in json.loads(out) if e["id"] == "MixedParity_case3_notAP"]
+        assert entry["hypotheses"] == (
+            "k = h+1, h >= 4, A positive, 2nd element differs in parity from the 1st, "
+            "3rd does not, A minus its 2nd element is not an AP"
+        )
+
     def test_unsupported_regime_still_reports(self, capsys):
         code, out, _ = run(capsys, "verify", "--set", "1,3,5,7", "--h", "2")
         assert code == 0
@@ -226,12 +241,14 @@ class TestSearch:
         assert "minimizer=1,3,5,7" in text
         assert "falsified=false" in text
 
-    def test_shards_do_not_change_output(self, capsys):
-        # Each worker gets one shard, so 8 workers split the space 8 ways.
+    def test_shards_do_not_change_output(self, capsys, pooled_splits):
+        # Each worker gets one shard, so 8 workers split the space 8 ways,
+        # here into its 4 ranges, run by the pool in-process.
         base = run(capsys, "search", "--k", "5", "--h", "4", "--max", "11",
                    "--workers", "1", "--format", "json")
         sharded = run(capsys, "search", "--k", "5", "--h", "4", "--max", "11",
                       "--workers", "8", "--format", "json")
+        assert pooled_splits == [4]
         assert base[0] == sharded[0] == 0
         assert base[1] == sharded[1]
 

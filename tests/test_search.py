@@ -297,7 +297,7 @@ class TestSearchSpaceValidation:
             SearchSpace(4, 0, 9)
         # Outside the stated window 3 <= h <= k-1 the space is accepted and
         # its report labelled, never falsified.
-        assert SearchSpace(4, 2, 9).regime_label == "positive/outside-stated-hypotheses"
+        assert minimize(SearchSpace(4, 2, 9)).regime == "positive/outside-stated-hypotheses"
         with pytest.raises(BadParams, match="fold count 65 exceeds supported cap 64"):
             SearchSpace(65, 65, 65)  # h over MAX_FOLD
 
@@ -333,13 +333,15 @@ class TestSearchSpaceValidation:
 
     def test_labels_and_bounds(self):
         pos = SearchSpace(4, 3, 9)
-        assert pos.bound == 2 * 3 * 4 - 9 + 1 == 16
+        report = minimize(pos)
+        assert report.bound == 2 * 3 * 4 - 9 + 1 == 16
         assert pos.bound_status == "theorem"
-        assert pos.regime_label == "positive"
+        assert report.regime == "positive"
         zero = SearchSpace(5, 3, 9, regime="zero")
-        assert zero.bound == 2 * 3 * 5 - 3 * 4 + 1 == 19
+        report = minimize(zero)
+        assert report.bound == 2 * 3 * 5 - 3 * 4 + 1 == 19
         assert zero.bound_status == "conjecture"
-        assert zero.regime_label == "zero"
+        assert report.regime == "zero"
 
 
 class TestMinimize:
@@ -352,7 +354,7 @@ class TestMinimize:
         assert report.classes == {"DilatedOddProgression": 1}
         assert report.falsified is False
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, pooled_splits):
         spaces = [
             SearchSpace(k, h, max_element, regime, gcd_reduce)
             for k, h, max_element, regime in (
@@ -383,9 +385,10 @@ class TestMinimize:
         ]
         for space in spaces:
             expected = brute_report(space)
-            # Later shards start partway through shared suffixes.
+            # One walk, then pooled shards: later shards start partway
+            # through shared suffixes.
             for shards in (1, 3, 7, 16):
-                report = minimize(space, shards=shards)
+                report = minimize(space, shards=shards, workers=shards)
                 got = (
                     report.minimum,
                     report.minimizer_count,
@@ -446,24 +449,32 @@ class TestMinimize:
 
 
 class TestDeterminism:
-    def test_shard_count_never_changes_the_report(self):
+    """Only a pool splits the space, so each split here runs in the pool
+    path, its shards in-process (the pooled_splits fixture)."""
+
+    def test_shard_count_never_changes_the_report(self, pooled_splits):
         space = SearchSpace(5, 4, 11)
         baseline = minimize(space, shards=1).to_json()
         for shards in (2, 7, 16):
-            assert minimize(space, shards=shards).to_json() == baseline
+            assert minimize(space, shards=shards, workers=shards).to_json() == baseline
+        # 7 and 16 shards of these 462 sets both split into 4 ranges.
+        assert pooled_splits == [2, 4, 4]
 
-    def test_workers_never_change_the_report(self):
+    def test_workers_never_change_the_report(self, pooled_splits):
         space = SearchSpace(5, 4, 11)
         sequential = minimize(space, shards=4, workers=1).to_json()
         parallel = minimize(space, shards=4, workers=2).to_json()
         assert parallel == sequential
+        assert pooled_splits == [2]
 
-    def test_more_shards_than_sets(self):
+    def test_more_shards_than_sets(self, pooled_splits):
         space = SearchSpace(4, 3, 9)
         assert space.total_sets < 200
-        assert minimize(space, shards=200).to_json() == minimize(space).to_json()
+        assert minimize(space, shards=200, workers=200).to_json() == minimize(space).to_json()
+        # Six values of the largest element, whose set counts fill four ranges.
+        assert pooled_splits == [4]
 
-    def test_huge_shard_count_is_capped_at_the_value_count(self, monkeypatch):
+    def test_huge_shard_count_is_capped_at_the_value_count(self, monkeypatch, pooled_splits):
         # One task per requested shard would exhaust memory long before
         # the scan; the split never asks for more shards than values of
         # the largest element.
@@ -543,13 +554,45 @@ class TestPoolSizing:
         space = SearchSpace(5, 4, 11)
         assert space.total_sets < 2 * SETS_PER_WORKER
 
-        def refuse(max_workers):
-            raise AssertionError(f"pool of {max_workers} started for a small space")
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"pool, split or CPU probe for a small space: {args}")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(search, "_shard_ranges", refuse)
+        monkeypatch.setattr(search, "usable_cpus", refuse)
         serial = minimize(space, shards=1, workers=1).to_json()
-        for shards in (1, 2, 8):
-            assert minimize(space, shards=shards, workers=8).to_json() == serial
+        # Under one worker's worth of sets, then exactly one.
+        for sets_per_worker in (SETS_PER_WORKER, space.total_sets):
+            monkeypatch.setattr(search, "SETS_PER_WORKER", sets_per_worker)
+            for shards in (1, 2, 8):
+                assert minimize(space, shards=shards, workers=8).to_json() == serial
+
+    def test_no_pool_walks_the_space_once(self, monkeypatch):
+        # One set is a worker's worth, so only one worker or one shard keeps
+        # the pool from starting.  The space is then walked once, over every
+        # value of its largest free element, and never split.
+        def refuse(*args):
+            raise AssertionError("split or CPU probe without a pool")
+
+        walks = []
+        real = search._scan_shard
+
+        def spy(space, lo, hi):
+            walks.append((lo, hi))
+            return real(space, lo, hi)
+
+        monkeypatch.setattr(search, "SETS_PER_WORKER", 1)
+        monkeypatch.setattr(search, "_shard_ranges", refuse)
+        monkeypatch.setattr(search, "usable_cpus", refuse)
+        monkeypatch.setattr(search, "_scan_shard", spy)
+        for space in (SearchSpace(5, 4, 11), SearchSpace(5, 3, 9, regime="zero")):
+            for shards, workers in ((1, None), (1, 8), (8, 1), (8, None)):
+                walks.clear()
+                minimize(space, shards=shards, workers=workers)
+                assert walks == [(space.choose_k, space.max_element)], (space, shards)
+        for shards in (0, -1):
+            with pytest.raises(BadParams, match=f"need at least 1 shard, got {shards}"):
+                minimize(SearchSpace(5, 4, 11), shards=shards)
 
 
 class TestUsableCpus:
@@ -580,7 +623,7 @@ class TestSeedSet:
                 )
                 assert seed <= first, (k, h)
 
-    def test_every_shard_starts_from_the_seed_set(self, monkeypatch):
+    def test_every_shard_starts_from_the_seed_set(self, monkeypatch, pooled_splits):
         seeds = []
         real = search.count_dp
 
@@ -589,7 +632,8 @@ class TestSeedSet:
             return real(A, variant, h)
 
         monkeypatch.setattr(search, "count_dp", recording)
-        minimize(SearchSpace(6, 4, 14), shards=3)
+        minimize(SearchSpace(6, 4, 14), shards=3, workers=3)
+        assert pooled_splits == [3]
         assert seeds == [(1, 3, 5, 7, 9, 11)] * 3
 
     @pytest.mark.parametrize("space", [

@@ -334,8 +334,8 @@ class TestDispatchAndSerialization:
         with pytest.raises(BadParams) as exc:
             witness_mixed_parity_a2(IntegerSet((1, 2, 4, 6, 8)), 4)
         assert str(exc.value) == (
-            "mixed-parity-a2 needs k = h+1, h >= 4, A positive, only the 2nd "
-            "element differs in parity from the 1st; got A={1,2,4,6,8}, h=4"
+            "mixed-parity-a2 needs k = h+1, h >= 4, A positive, 2nd element "
+            "differs in parity from the 1st, 3rd does not; got A={1,2,4,6,8}, h=4"
         )
 
     def test_generate_unknown_lemma(self):
