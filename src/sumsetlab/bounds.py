@@ -233,7 +233,7 @@ _ENTRIES: list[BoundCatalogEntry] = [
         source="conjectured sharp bound for sets containing 0",
         status="conjecture",
         # No inverse regime: only the search tests this prediction, through
-        # Prediction.holds.  d*[0,k-1] starts at 0, so it is no dilated odd
+        # its class tally.  d*[0,k-1] starts at 0, so it is no dilated odd
         # progression and classifies as an arithmetic progression; in the
         # zero regime every arithmetic progression is such a set.
         equality=(

@@ -13,9 +13,15 @@ prediction.
 A search that starts no pool walks the whole space once.  Only a pool
 splits it, into contiguous ranges of the set's largest free element, so any
 shard count (and any worker count) produces a byte-identical report: each
-shard returns its minimum, the exact count of minimum-achieving sets, the
-first 64 of them in colex order, and a structure-class tally; shards merge
-in order of their ranges, which is colex order.
+shard returns its minimum, the first 64 minimum-achieving sets in colex
+order, and the structure-class tally of all of them; shards merge in order
+of their ranges, which is colex order.  The tally is the one record of the
+ties: the minimizer count is its total, and the equality check reads it.
+Each entry's equality prediction is the first family classify_structure
+tries that can match a set of the entry's space (a dilated odd progression
+for RSS_direct; an arithmetic progression for RSS_conj2, since no dilated
+odd progression starts at 0), so at the bound a minimizer misses the
+prediction exactly when its class is another.
 
 A shard counts each set's sumset without building it.  Colex order is the
 order of nested loops with the largest element outermost, so a shard walks
@@ -255,8 +261,6 @@ def _shard_ranges(space: SearchSpace, shards: int) -> list[tuple[int, int]]:
     element at most t fit in i * total / shards, so the split is a pure
     function of (space, shards) and never holds more ranges than values.
     """
-    if shards < 1:
-        raise BadParams(f"need at least 1 shard, got {shards}")
     n, top = space.choose_k, space.max_element
     values = range(n, top + 1)
     shards = min(shards, len(values))
@@ -271,17 +275,14 @@ def _shard_ranges(space: SearchSpace, shards: int) -> list[tuple[int, int]]:
 
 class _ShardResult(NamedTuple):
     minimum: Optional[int]
-    minimizer_count: int
     minimizers: tuple[tuple[int, ...], ...]
-    classes: dict[str, int]
-    unpredicted: int  # minimizers the bound's equality prediction misses
+    classes: dict[str, int]  # class name -> minimum-achieving sets
 
 
 def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     """Scan every set whose largest free element lies in [lo, hi]."""
     h, k = space.h, space.k
     skip_imprimitive = space.gcd_reduce and space.regime == REGIME_POSITIVE
-    prediction = space.entry.prediction(h)
     # Level p holds the set's (p+1)-th smallest free element, which runs
     # from p + 1 up to the element at level p + 1.  The zero regime's
     # pinned 0 is the top level, k - 1.  The level of the largest free
@@ -311,8 +312,6 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
     vals = [0] * k  # the current element at each level >= 2
     levels: list = [None] * k  # the values each open level has still to visit
     levels[k - 1] = iter(pinned or range(lo, hi + 1))
-    n_best = 0
-    unpredicted = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
     p = k - 1
@@ -388,18 +387,12 @@ def _scan_shard(space: SearchSpace, lo: int, hi: int) -> _ShardResult:
                     name = type(classify_structure(IntegerSet(elems))).__name__
                     if card < best:
                         best = card
-                        n_best = 0
-                        unpredicted = 0
                         minimizers = []
                         classes = {}
-                    n_best += 1
                     if len(minimizers) < MINIMIZER_CAP:
                         minimizers.append(elems)
                     classes[name] = classes.get(name, 0) + 1
-                    unpredicted += not prediction.holds(elems)
-    return _ShardResult(
-        best if n_best else None, n_best, tuple(minimizers), classes, unpredicted
-    )
+    return _ShardResult(best if classes else None, tuple(minimizers), classes)
 
 
 class SearchReport(NamedTuple):
@@ -501,18 +494,12 @@ def minimize(
     if not candidates:
         raise BadParams("search population is empty")
     minimum = min(candidates)
-    minimizer_count = 0
-    unpredicted = 0
     minimizers: list[tuple[int, ...]] = []
     classes: dict[str, int] = {}
     for r in results:
         if r.minimum != minimum:
             continue
-        minimizer_count += r.minimizer_count
-        unpredicted += r.unpredicted
-        for m in r.minimizers:
-            if len(minimizers) < MINIMIZER_CAP:
-                minimizers.append(m)
+        minimizers += r.minimizers[: MINIMIZER_CAP - len(minimizers)]
         for name, cnt in r.classes.items():
             classes[name] = classes.get(name, 0) + cnt
 
@@ -521,8 +508,11 @@ def minimize(
     # first colex member stands for the whole space.
     hypotheses_hold = entry.hypotheses(space.first_set, space.h)
     bound = entry.formula(space.k, space.h)
+    # At the bound, a minimizer of any class but the predicted family
+    # falsifies the report (see the module docstring).
+    predicted = entry.prediction(space.h).family.__name__
     falsified = hypotheses_hold and (
-        minimum < bound or (minimum == bound and unpredicted > 0)
+        minimum < bound or (minimum == bound and classes.keys() != {predicted})
     )
     return SearchReport(
         k=space.k,
@@ -531,7 +521,7 @@ def minimize(
         regime=space.regime if hypotheses_hold else f"{space.regime}/{OUTSIDE_HYPOTHESES}",
         minimum=minimum,
         bound=bound,
-        minimizer_count=minimizer_count,
+        minimizer_count=sum(classes.values()),
         minimizers=tuple(minimizers),
         classes=classes,
         falsified=falsified,

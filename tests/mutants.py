@@ -51,6 +51,7 @@ SEARCH = "src/sumsetlab/search.py"
 ENGINE = "src/sumsetlab/engine.py"
 WITNESS = "src/sumsetlab/witness.py"
 BOUNDS = "src/sumsetlab/bounds.py"
+INVERSE = "src/sumsetlab/inverse.py"
 FLOORS = "tests/test_search.py::TestPruneFloors::test_floors_are_sound_and_strict"
 SLACK = "tests/test_search.py::TestPruneFloors::test_floor_slack_is_pinned"
 DEEP = "tests/test_search.py::TestPruneFloors::test_deep_floors_change_no_report"
@@ -68,6 +69,10 @@ CASE2 = "tests/test_bounds.py::TestApplicability::test_mixed_parity_partition"
 CASE3 = "tests/test_bounds.py::TestApplicability::test_mixed_parity_case3_partition"
 CASE1 = "tests/test_bounds.py::TestApplicability::test_case1_needs_shared_parity_prefix"
 FOUR_FOLDS = "tests/test_witness.py::TestMixedParityA2::test_needs_four_folds"
+FALSIFIED = "tests/test_search.py::TestMinimize::test_falsified_reads_the_equality_prediction"
+DIRECT_CASE = "tests/test_search.py::TestMinimize::test_smallest_direct_case"
+ZERO_FALSIFIED = "tests/test_cli.py::TestSearch::test_zero_regime_conjecture_falsified"
+REGIMES = "tests/test_inverse.py::TestRegimeTable::test_supported"
 
 MUTANTS = (
     # search.layer_floor, one branch at a time: each raises a floor by one
@@ -115,6 +120,16 @@ MUTANTS = (
     # largest free element short.
     Mutant(SEARCH, "space.choose_k, space.max_element)]", "space.choose_k, space.max_element - 1)]",
            (BRUTE,), "killed"),
+    # The verdict path.  At the bound, minimize reads the equality verdict
+    # off the merged class tally; the comparison flipped falsifies every
+    # search at the bound and none off it.
+    Mutant(SEARCH, "classes.keys() != {predicted}", "classes.keys() == {predicted}",
+           (FALSIFIED, DIRECT_CASE, ZERO_FALSIFIED), "killed"),
+    # A shard with no tie reports its seed count as its minimum: a walk
+    # whose floors cut every set then no longer reads as empty.
+    Mutant(SEARCH, "best if classes else None", "best", (SHARDS, PRUNES), "killed"),
+    # The merge keeps every shard's tally, not only the minimum's.
+    Mutant(SEARCH, "r.minimum != minimum", "r.minimum is None", (BRUTE,), "killed"),
     # The restricted fold stops one layer short of h - rest, the lowest
     # layer the elements still to fold can lift to the top.
     Mutant(ENGINE, "range(h, max(1, h - rest) - 1, -1)", "range(h, max(1, h - rest + 1) - 1, -1)",
@@ -135,6 +150,10 @@ MUTANTS = (
            "killed"),
     Mutant(BOUNDS, 'if h == 4 else "3_ap_even"', 'if h <= 5 else "3_ap_even"', (CASE3,), "killed"),
     Mutant(BOUNDS, "if e[1] % 2:", "if not e[1] % 2:", (CASE3,), "killed"),
+    # inverse_verdict: equality read as a violation, and the loosest of two
+    # covering regimes taken instead of the sharpest.
+    Mutant(INVERSE, "if observed < bound:", "if observed <= bound:", (REGIMES,), "killed"),
+    Mutant(INVERSE, "max(covering,", "min(covering,", (REGIMES,), "killed"),
 )
 
 

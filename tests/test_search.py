@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumsetlab.bounds import Prediction
+from sumsetlab.bounds import Prediction, catalogue_entry
 from sumsetlab.engine import SumsetVariant, compute_dp, compute_oracle, count_dp
 from sumsetlab.errors import BadParams, CostCapExceeded, PoolFailed
-from sumsetlab.intset import IntegerSet, classify_structure
+from sumsetlab.intset import ArithmeticProgression, IntegerSet, classify_structure
 from sumsetlab import search
 from sumsetlab.search import (
     MINIMIZER_CAP,
@@ -225,11 +225,6 @@ class TestPartitionWork:
                 covered = [v for lo, hi in ranges for v in range(lo, hi + 1)]
                 assert covered == values, (space, shards)
 
-    def test_rejects_zero_shards(self):
-        for shards in (0, -1):
-            with pytest.raises(BadParams):
-                _shard_ranges(one_free(10), shards)
-
 
 class TestShardSplit:
     def test_split_at_every_largest_element_matches_one_shard(self):
@@ -257,7 +252,7 @@ class TestShardSplit:
             whole = _scan_shard(space, first, last)
             expected = (
                 whole.minimum,
-                whole.minimizer_count,
+                sum(whole.classes.values()),
                 whole.minimizers,
                 whole.classes,
             )
@@ -265,10 +260,14 @@ class TestShardSplit:
             for c in range(first, last):
                 head = _scan_shard(space, first, c)
                 tail = _scan_shard(space, c + 1, last)
+                # A shard reports a minimum only when it holds a tie.
+                assert [r.minimum is None for r in (head, tail)] == [
+                    not r.classes for r in (head, tail)
+                ], (space, c)
                 parts = [r for r in (head, tail) if r.minimum == whole.minimum]
                 got = (
                     min(r.minimum for r in (head, tail) if r.minimum is not None),
-                    sum(r.minimizer_count for r in parts),
+                    sum(sum(r.classes.values()) for r in parts),
                     tuple(m for r in parts for m in r.minimizers)[:MINIMIZER_CAP],
                     dict(sum((Counter(r.classes) for r in parts), Counter())),
                 )
@@ -380,6 +379,10 @@ class TestMinimize:
                 (3, 3, 8, "zero"),
                 (6, 2, 12, "positive"),  # no layer h - 3
                 (9, 7, 13, "positive"),  # deep floors prune before each lift
+                # The seed, {0,1,2,3}, counts 13 and the minimum is 12: a
+                # shard that holds only the seed ties at 13, and the merge
+                # must drop it.
+                (4, 3, 8, "zero"),
             )
             for gcd_reduce in (True, False)
         ]
@@ -431,11 +434,29 @@ class TestMinimize:
 
     def test_falsified_reads_the_equality_prediction(self, monkeypatch):
         # At the bound, a minimizer the catalogue's prediction misses
-        # falsifies the report.
-        monkeypatch.setattr(Prediction, "holds", lambda self, elements: False)
+        # falsifies the report: here the entry predicts another family.
+        entry = catalogue_entry("RSS_direct")
+        other = entry._replace(equality=((None, Prediction("an AP", ArithmeticProgression)),))
+        monkeypatch.setattr(search, "catalogue_entry", lambda entry_id: other)
         report = minimize(SearchSpace(4, 3, 9))
+        assert report.classes == {"DilatedOddProgression": 1}
         assert report.minimum == report.bound
         assert report.falsified is True
+
+    def test_prediction_is_the_first_matching_family(self):
+        # minimize reads the equality verdict off the class tally, so in
+        # each regime's space the entry's prediction must hold on exactly
+        # the sets classify_structure puts in the predicted family.
+        for regime in ("positive", "zero"):
+            for k in range(2, 8):
+                spaces = [SearchSpace(k, h, 14, regime) for h in range(1, k + 1)]
+                for A in lex_sets(spaces[0]):
+                    first = type(classify_structure(A))
+                    for space in spaces:
+                        prediction = space.entry.prediction(space.h)
+                        assert prediction.holds(A.elements) == (first is prediction.family), (
+                            A, space,
+                        )
 
     def test_rejects_fewer_than_one_worker(self):
         for workers in (0, -2):
@@ -673,4 +694,4 @@ class TestReportSerialization:
         shard = _scan_shard(space, 4, 12)
         assert pickle.loads(pickle.dumps(space)) == space
         assert pickle.loads(pickle.dumps(shard)) == shard
-        assert isinstance(shard, _ShardResult) and shard.minimizer_count > 0
+        assert isinstance(shard, _ShardResult) and sum(shard.classes.values()) > 0
